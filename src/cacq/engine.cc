@@ -112,10 +112,21 @@ Status CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
 }
 
 Result<QueryId> CacqEngine::AddQuery(const CacqQuerySpec& spec) {
+  const QueryId slot = free_slots_.empty()
+                           ? static_cast<QueryId>(queries_.size())
+                           : *free_slots_.begin();
+  TCQ_RETURN_NOT_OK(AddQueryAt(slot, spec));
+  return slot;
+}
+
+Status CacqEngine::AddQueryAt(QueryId qid, const CacqQuerySpec& spec) {
+  if (qid < queries_.size() && queries_[qid].active) {
+    return Status::AlreadyExists("query slot " + std::to_string(qid) +
+                                 " is live");
+  }
   if (spec.sources.empty()) {
     return Status::InvalidArgument("query needs at least one source");
   }
-  const QueryId qid = static_cast<QueryId>(queries_.size());
   QueryInfo info;
   info.footprint.Resize(layout_.num_sources());
   for (const std::string& name : spec.sources) {
@@ -206,9 +217,17 @@ Result<QueryId> CacqEngine::AddQuery(const CacqQuerySpec& spec) {
     speculative_queries_.Resize(qid + 1);
   }
   (spec.speculative ? speculative_queries_ : delayed_queries_).Set(qid);
-  queries_.push_back(std::move(info));
+  if (qid >= queries_.size()) {
+    for (QueryId s = static_cast<QueryId>(queries_.size()); s < qid; ++s) {
+      free_slots_.insert(s);
+    }
+    queries_.resize(qid + 1);
+  } else {
+    free_slots_.erase(qid);
+  }
+  queries_[qid] = std::move(info);
   ++active_queries_;
-  return qid;
+  return Status::OK();
 }
 
 Status CacqEngine::RemoveQuery(QueryId q) {
@@ -228,6 +247,8 @@ Status CacqEngine::RemoveQuery(QueryId q) {
   }
   if (q < delayed_queries_.size_bits()) delayed_queries_.Clear(q);
   if (q < speculative_queries_.size_bits()) speculative_queries_.Clear(q);
+  info = QueryInfo();  // Drops the residual-op references; slot reusable.
+  free_slots_.insert(q);
   return Status::OK();
 }
 
@@ -305,7 +326,7 @@ std::vector<CacqEngine::StemSnapshot> CacqEngine::stem_snapshots() const {
   out.reserve(stems_.size());
   for (const auto& [jk, stem] : stems_) {
     out.push_back(StemSnapshot{stem->name(), stem->size(), stem->probes(),
-                               stem->scanned()});
+                               stem->scanned(), stem->matches()});
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -73,10 +74,24 @@ class CacqEngine {
   using Sink = std::function<void(QueryId, const Tuple&)>;
   void SetSink(Sink sink) { sink_ = std::move(sink); }
 
-  /// Registers a continuous query; it applies to all future tuples.
+  /// Registers a continuous query; it applies to all future tuples. The
+  /// returned id is the lowest free query slot: ids freed by RemoveQuery
+  /// are reused, so every per-tuple lineage bitset is as wide as the peak
+  /// number of live queries, not the number ever registered. The choice
+  /// depends only on the sequence of AddQuery/RemoveQuery calls, so
+  /// engines fed the same sequence agree on every slot.
   Result<QueryId> AddQuery(const CacqQuerySpec& spec);
 
-  /// Unregisters a query; shared state it alone used is scrubbed.
+  /// Registers `spec` at a caller-chosen free slot (AlreadyExists if the
+  /// slot is live). The sharded exchange picks slots centrally — it may
+  /// hold a removed slot back until the egress stage has drained the old
+  /// query's emissions — and installs each query at the same slot on every
+  /// shard and standby.
+  Status AddQueryAt(QueryId slot, const CacqQuerySpec& spec);
+
+  /// Unregisters a query and frees its slot; shared state it alone used is
+  /// scrubbed, including its lineage bit on every stored SteM entry, so a
+  /// query that later reuses the slot starts from a clean lineage.
   Status RemoveQuery(QueryId q);
 
   /// Feeds one tuple of `stream` and routes it (plus any join matches).
@@ -138,6 +153,9 @@ class CacqEngine {
   Status RestoreCheckpoint(const EngineCheckpoint& ckpt);
 
   size_t num_active_queries() const { return active_queries_; }
+  /// Width of the query slot table: the peak number of slots live at once.
+  /// Every lineage bitset the engine seeds is this wide.
+  size_t num_query_slots() const { return queries_.size(); }
   const Eddy& eddy() const { return *eddy_; }
   const SourceLayout& layout() const { return layout_; }
 
@@ -148,6 +166,7 @@ class CacqEngine {
     size_t size = 0;       ///< Live stored tuples.
     uint64_t probes = 0;
     uint64_t scanned = 0;
+    uint64_t matches = 0;  ///< Join results kept from those probes.
   };
   std::vector<StemSnapshot> stem_snapshots() const;
 
@@ -187,7 +206,10 @@ class CacqEngine {
   std::unique_ptr<Eddy> eddy_;
   Sink sink_;
 
+  /// Indexed by query slot; inactive entries are free slots.
   std::vector<QueryInfo> queries_;
+  /// Free slots below queries_.size(), lowest first.
+  std::set<QueryId> free_slots_;
   size_t active_queries_ = 0;
   /// Per source: queries whose footprint contains it (lineage seed).
   std::vector<SmallBitset> interested_;

@@ -498,28 +498,39 @@ Result<QueryId> ShardedEngine::AddQuery(const CacqQuerySpec& spec) {
   // Serialized with migrations AND failovers: a registration interleaved
   // with a standby promotion would leave the replica set divergent.
   std::lock_guard<std::mutex> mig(migrate_mu_);
-  std::vector<std::optional<Result<QueryId>>> results(shards_.size());
-  TCQ_RETURN_NOT_OK(RunOnAllShards([this, &spec, &results](size_t i) {
-    results[i] = shards_[i]->engine->AddQuery(spec);
+  {
+    std::lock_guard<std::mutex> lock(released_mu_);
+    for (QueryId s : released_slots_) slots_[s].draining = false;
+    released_slots_.clear();
+  }
+  QueryId slot = 0;
+  while (slot < slots_.size() &&
+         (slots_[slot].spec.has_value() || slots_[slot].draining)) {
+    ++slot;
+  }
+  std::vector<Status> statuses(shards_.size());
+  TCQ_RETURN_NOT_OK(RunOnAllShards([this, slot, &spec, &statuses](size_t i) {
+    statuses[i] = shards_[i]->engine->AddQueryAt(slot, spec);
+    // Re-snapshot at the registration point: a failover then never replays
+    // pre-registration records under the new query (whose slot may carry
+    // an earlier query's lineage in older snapshots).
+    if (statuses[i].ok() && replication_ != nullptr) {
+      CheckpointShard(i,
+                      shards_[i]->applied_lsn.load(std::memory_order_relaxed));
+    }
   }));
-  TCQ_CHECK(results[0].has_value());
-  if (!results[0]->ok()) return results[0]->status();
-  const QueryId id = **results[0];
-  for (size_t i = 1; i < results.size(); ++i) {
-    if (!results[i]->ok()) return results[i]->status();
-    TCQ_CHECK(**results[i] == id)
-        << "shard " << i << " assigned a divergent QueryId";
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
   }
   // Mirror onto the standbys (from this thread — a standby has no thread
-  // of its own) and into the history the next standby is rebuilt from.
+  // of its own) and into the table the next standby is rebuilt from.
   for (auto& shard : shards_) {
     if (shard->standby == nullptr) continue;
-    auto sq = shard->standby->AddQuery(spec);
-    if (!sq.ok()) return sq.status();
-    TCQ_CHECK(*sq == id) << "standby assigned a divergent QueryId";
+    TCQ_RETURN_NOT_OK(shard->standby->AddQueryAt(slot, spec));
   }
-  query_history_.push_back(QueryRecord{spec, false});
-  return id;
+  if (slot >= slots_.size()) slots_.resize(slot + 1);
+  slots_[slot].spec = spec;
+  return slot;
 }
 
 Status ShardedEngine::RemoveQuery(QueryId q) {
@@ -527,14 +538,35 @@ Status ShardedEngine::RemoveQuery(QueryId q) {
   // with migrations so extracted-but-not-yet-installed state can't skip
   // the scrub and resurrect the query's results on the recipient.
   std::lock_guard<std::mutex> mig(migrate_mu_);
+  if (q >= slots_.size() || !slots_[q].spec.has_value()) {
+    return Status::NotFound("no such active query");
+  }
+  // With the pipeline running, the old query's emissions may still be
+  // queued for egress behind the removal. Each shard enqueues a marker
+  // right after removing the query (its worker flushed every earlier
+  // emission first); the slot is reusable once the egress thread has
+  // passed all of them.
+  const bool via_egress = started_ && !stopped_;
+  auto markers = std::make_shared<std::atomic<size_t>>(shards_.size());
   std::vector<Status> statuses(shards_.size());
-  TCQ_RETURN_NOT_OK(RunOnAllShards([this, q, &statuses](size_t i) {
+  TCQ_RETURN_NOT_OK(RunOnAllShards([this, q, via_egress, markers,
+                                    &statuses](size_t i) {
     statuses[i] = shards_[i]->engine->RemoveQuery(q);
     // The scrub changed state outside the logged data path: re-snapshot so
     // a failover can't replay pre-removal lineage.
     if (statuses[i].ok() && replication_ != nullptr) {
       CheckpointShard(i,
                       shards_[i]->applied_lsn.load(std::memory_order_relaxed));
+    }
+    if (via_egress) {
+      EgressItem marker;
+      marker.control = [this, q, markers] {
+        if (markers->fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          std::lock_guard<std::mutex> lock(released_mu_);
+          released_slots_.push_back(q);
+        }
+      };
+      shards_[i]->output->Enqueue(std::move(marker));
     }
   }));
   for (const Status& st : statuses) {
@@ -544,11 +576,8 @@ Status ShardedEngine::RemoveQuery(QueryId q) {
     if (shard->standby == nullptr) continue;
     TCQ_RETURN_NOT_OK(shard->standby->RemoveQuery(q));
   }
-  // QueryIds are registration indices (identical across every engine), so
-  // the history record for `q` is simply entry q.
-  if (static_cast<size_t>(q) < query_history_.size()) {
-    query_history_[static_cast<size_t>(q)].removed = true;
-  }
+  slots_[q].spec.reset();
+  slots_[q].draining = via_egress;
   return Status::OK();
 }
 
@@ -843,16 +872,12 @@ std::unique_ptr<CacqEngine> ShardedEngine::BuildStandby(size_t shard) const {
     const auto added = engine->AddStream(src.name, src.schema);
     TCQ_CHECK(added.ok()) << added.status().ToString();
   }
-  // Replay the full registration history: QueryIds are assigned by order,
-  // so the rebuilt standby agrees with every primary — including ids of
-  // since-removed queries.
-  for (const QueryRecord& qr : query_history_) {
-    const auto q = engine->AddQuery(qr.spec);
-    TCQ_CHECK(q.ok()) << q.status().ToString();
-    if (qr.removed) {
-      const Status removed = engine->RemoveQuery(*q);
-      TCQ_CHECK(removed.ok()) << removed.ToString();
-    }
+  // Install every live query at its slot: the rebuilt standby agrees with
+  // every primary on each QueryId without replaying removed queries.
+  for (QueryId slot = 0; slot < slots_.size(); ++slot) {
+    if (!slots_[slot].spec.has_value()) continue;
+    const Status added = engine->AddQueryAt(slot, *slots_[slot].spec);
+    TCQ_CHECK(added.ok()) << added.ToString();
   }
   return engine;
 }

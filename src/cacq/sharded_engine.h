@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -29,13 +30,14 @@ namespace tcq {
 /// unions shard outputs back into one delivery order.
 ///
 /// Correctness contract (DESIGN.md §11):
-///  * Every query is registered on every shard in the same order, so
-///    QueryIds agree across shards and each shard runs the same plan over
-///    its key partition. Grouped filters and residuals are key-oblivious,
-///    so partitioning them is trivially correct; SteM joins are correct
-///    because both sides of every equi-join must be partitioned on their
-///    join columns (AddQuery rejects anything else), making matches
-///    shard-local exactly as in Flux.
+///  * Every query is registered on every shard at the same engine slot
+///    (chosen here, centrally), so QueryIds agree across shards and each
+///    shard runs the same plan over its key partition. Grouped filters
+///    and residuals are key-oblivious, so partitioning them is trivially
+///    correct; SteM joins are correct because both sides of every
+///    equi-join must be partitioned on their join columns (AddQuery
+///    rejects anything else), making matches shard-local exactly as in
+///    Flux.
 ///  * Per-shard FIFO: tuples with equal partition keys traverse one shard
 ///    in arrival order. Cross-shard output order is NOT defined — results
 ///    are a multiset equal to single-shard execution, in exchange order.
@@ -155,6 +157,10 @@ class ShardedEngine {
   /// Registers `spec` on every shard (identical QueryId on each, returned
   /// here). Callable while running: folds in through the control path, so
   /// the query sees exactly the tuples scattered after this returns.
+  /// The id is the lowest free engine slot. A slot freed by RemoveQuery
+  /// becomes free only once the egress thread has passed the removal's
+  /// marker on every shard's output queue, so no emission of the old
+  /// query can reach the sink under the new query's id.
   /// Rejects equi-joins whose join columns are not the partition columns
   /// of their streams — such a join would need cross-shard matches.
   /// AddQuery/RemoveQuery calls must be serialized by the caller (the
@@ -162,7 +168,9 @@ class ShardedEngine {
   /// interleave differently per shard and diverge the QueryIds.
   Result<QueryId> AddQuery(const CacqQuerySpec& spec);
 
-  /// Unregisters `q` on every shard.
+  /// Unregisters `q` on every shard. Its slot returns to the free pool
+  /// asynchronously, after the old query's queued emissions have reached
+  /// the sink (one egress marker per shard; no extra barrier).
   Status RemoveQuery(QueryId q);
 
   /// Scatters a same-stream batch across the shards by partition column
@@ -331,7 +339,7 @@ class ShardedEngine {
   Status WaitBarrier(const std::shared_ptr<ShardBarrier>& barrier,
                      const std::vector<size_t>& targets);
   /// Builds an empty engine registered with the primaries' streams and
-  /// full query history — the next standby after a promotion.
+  /// every live query at its slot — the next standby after a promotion.
   std::unique_ptr<CacqEngine> BuildStandby(size_t shard) const;
   /// Drains a dead shard's input queue from the failover thread: stale
   /// control closures run (they only count down abandoned barriers), data
@@ -368,14 +376,18 @@ class ShardedEngine {
   std::vector<SourceInfo> sources_;
   std::map<std::string, size_t> source_index_;
   Sink sink_;
-  /// Full AddQuery/RemoveQuery history in registration order — replaying
-  /// it into a fresh engine reproduces the primaries' QueryId assignment
-  /// exactly (BuildStandby). Guarded by migrate_mu_ once started.
-  struct QueryRecord {
-    CacqQuerySpec spec;
-    bool removed = false;
+  /// Engine slot table: the live spec at each slot (BuildStandby installs
+  /// each at its slot), or a removed query whose emissions may still sit
+  /// in the egress queues. Guarded by migrate_mu_ once started.
+  struct Slot {
+    std::optional<CacqQuerySpec> spec;
+    bool draining = false;
   };
-  std::vector<QueryRecord> query_history_;
+  std::vector<Slot> slots_;
+  /// Draining slots whose egress markers have all passed, appended by the
+  /// egress thread; AddQuery returns them to the free pool.
+  std::mutex released_mu_;
+  std::vector<QueryId> released_slots_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   /// The exchange: per-shard bounded task queues + tcq.shard.* telemetry.

@@ -128,6 +128,7 @@ EddyOpResult SharedStemProbeOp::Process(RoutedTuple& rt) {
         other.Resize(width);
         joint &= other;
         if (joint.None()) return;
+        stem_->CountMatch();
 
         RoutedTuple out;
         out.tuple = layout_->MergeSparse(rt.tuple, stored);

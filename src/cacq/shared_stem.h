@@ -74,6 +74,13 @@ class SharedSteM {
     }
   }
 
+  /// Counts one join result the caller kept from a ProbeCollect visit
+  /// (the caller applies the dedup and lineage intersection).
+  void CountMatch() const {
+    ++matches_;
+    TCQ_METRIC(stem_internal::AggregateMetrics::Get().matches->Add(1));
+  }
+
   /// Evicts tuples with timestamp < ts; returns the count evicted.
   size_t EvictBefore(Timestamp ts);
 
@@ -147,6 +154,7 @@ class SharedSteM {
   size_t size() const { return live_; }
   uint64_t probes() const { return probes_; }
   uint64_t scanned() const { return scanned_; }
+  uint64_t matches() const { return matches_; }
 
  private:
   struct Entry {
@@ -174,11 +182,12 @@ class SharedSteM {
   uint64_t base_id_ = 0;
   size_t live_ = 0;
   std::unordered_multimap<Value, uint64_t, ValueHash> index_;
-  // Telemetry counters (relaxed atomics): the probes()/scanned() accessors
-  // are thin views, and the process-wide tcq.stem.* aggregates see every
-  // shared probe too.
+  // Telemetry counters (relaxed atomics): the probes()/scanned()/matches()
+  // accessors are thin views, and the process-wide tcq.stem.* aggregates
+  // see every shared probe too.
   mutable Counter probes_;
   mutable Counter scanned_;
+  mutable Counter matches_;
 };
 
 using SharedSteMPtr = std::shared_ptr<SharedSteM>;

@@ -139,6 +139,15 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
       spec.kind = item.expr->agg_kind();
       if (item.expr->agg_arg() != nullptr) {
         TCQ_ASSIGN_OR_RETURN(spec.arg, item.expr->agg_arg()->Bind(*schema));
+        const ValueType arg_type = spec.arg->result_type();
+        if ((spec.kind == AggKind::kSum || spec.kind == AggKind::kAvg) &&
+            arg_type != ValueType::kInt64 && arg_type != ValueType::kDouble &&
+            arg_type != ValueType::kNull) {
+          return Status::InvalidArgument(
+              std::string(AggKindToString(spec.kind)) +
+              " needs a numeric argument, got " +
+              ValueTypeToString(arg_type) + ": " + item.expr->ToString());
+        }
       }
       spec.output_name = DeriveName(item, i);
       out.output_names.push_back(spec.output_name);

@@ -23,6 +23,7 @@ struct ServerMetrics {
   Counter* rejected;
   Counter* delivered_rows;
   Counter* start_clamped;  ///< Submits whose start time the watermark raised.
+  Counter* cancelled_queries;
   // Disorder-path aggregates (DESIGN.md §15); per-stream detail lives on
   // StreamState::dis.
   Counter* dis_released;
@@ -44,6 +45,7 @@ struct ServerMetrics {
       agg->rejected = reg.GetCounter("tcq.server.rejected");
       agg->delivered_rows = reg.GetCounter("tcq.server.delivered_rows");
       agg->start_clamped = reg.GetCounter("tcq.server.start_clamped");
+      agg->cancelled_queries = reg.GetCounter("tcq.server.cancelled_queries");
       agg->dis_released = reg.GetCounter("tcq.disorder.released");
       agg->dis_late_within_bound =
           reg.GetCounter("tcq.disorder.late_within_bound");
@@ -251,7 +253,7 @@ Result<QueryId> Server::Submit(const std::string& sql,
   std::lock_guard<std::mutex> lock(mu_);
   TCQ_ASSIGN_OR_RETURN(AnalyzedQuery analyzed, AnalyzeSql(sql, catalog_));
 
-  const QueryId qid = static_cast<QueryId>(queries_.size());
+  const QueryId qid = static_cast<QueryId>(output_schemas_.size());
   auto qs = std::make_unique<QueryState>();
   qs->consistency = opts.consistency;
   qs->analyzed = std::move(analyzed);
@@ -295,14 +297,7 @@ Result<QueryId> Server::Submit(const std::string& sql,
     spec.where = StripQualifiers(aq.parsed.where);
     spec.speculative = speculative;
     TCQ_ASSIGN_OR_RETURN(QueryId engine_q, ss.sharded->AddQuery(spec));
-    {
-      std::lock_guard<std::mutex> rlock(results_mu_);
-      ss.cacq_to_server[engine_q] = qid;
-    }
-    ++(speculative ? ss.cacq_speculative : ss.cacq_delayed);
-    qs->is_cacq = true;
-    qs->cacq_stream = stream;
-    qs->cacq_id = engine_q;
+    MapCacqSlotLocked(&ss, engine_q, qs.get());
   } else if (aq.cacq_eligible) {
     // Standing single-stream filter: fold into the stream's shared eddy.
     const std::string& stream = aq.defs[0].name;
@@ -318,25 +313,13 @@ Result<QueryId> Server::Submit(const std::string& sql,
       ss.cacq = std::make_unique<CacqEngine>(std::move(copts));
       auto added = ss.cacq->AddStream(stream, ss.def.schema);
       TCQ_CHECK(added.ok()) << added.status();
-      ss.cacq->SetSink([this, stream](QueryId engine_q, const Tuple& t) {
+      StreamState* node = &ss;
+      ss.cacq->SetSink([this, node](QueryId engine_q, const Tuple& t) {
         // mu_ is held by Push when this fires.
-        StreamState& s = streams_.at(stream);
-        auto it = s.cacq_to_server.find(engine_q);
-        if (it == s.cacq_to_server.end()) return;
-        QueryState* owner = queries_[it->second].get();
-        // Project per the query's select list.
-        std::vector<Value> cells;
-        cells.reserve(owner->analyzed.projections.size());
-        for (const ExprPtr& e : owner->analyzed.projections) {
-          cells.push_back(e->Eval(t));
-        }
-        ResultSet rs;
-        rs.t = t.timestamp();
-        Tuple row = Tuple::Make(std::move(cells), t.timestamp());
-        row.set_retraction(t.retraction());
-        rs.rows.push_back(std::move(row));
+        QueryState* owner = node->cacq_owner[engine_q];
+        if (owner == nullptr) return;
         std::vector<ResultSet> sets;
-        sets.push_back(std::move(rs));
+        sets.push_back(ProjectCacqRow(*owner, t));
         DeliverResults(owner, std::move(sets));
       });
     }
@@ -345,14 +328,7 @@ Result<QueryId> Server::Submit(const std::string& sql,
     spec.where = StripQualifiers(aq.parsed.where);
     spec.speculative = speculative;
     TCQ_ASSIGN_OR_RETURN(QueryId engine_q, ss.cacq->AddQuery(spec));
-    {
-      std::lock_guard<std::mutex> rlock(results_mu_);
-      ss.cacq_to_server[engine_q] = qid;
-    }
-    ++(speculative ? ss.cacq_speculative : ss.cacq_delayed);
-    qs->is_cacq = true;
-    qs->cacq_stream = stream;
-    qs->cacq_id = engine_q;
+    MapCacqSlotLocked(&ss, engine_q, qs.get());
   } else {
     // Windowed / snapshot path: a QueryRunner over the archives.
     std::vector<const Archive*> archives;
@@ -369,6 +345,10 @@ Result<QueryId> Server::Submit(const std::string& sql,
       StreamState& ss = streams_.at(def.name);
       archives.push_back(ss.archive.get());
       table_rows.emplace_back();
+      if (std::find(qs->footprint.begin(), qs->footprint.end(), &ss) ==
+          qs->footprint.end()) {
+        qs->footprint.push_back(&ss);
+      }
       if (ss.watermark + 1 > start_time) {
         // The for-loop start is clamped past data the stream has already
         // delivered (the query cannot fire windows over history whose
@@ -391,38 +371,68 @@ Result<QueryId> Server::Submit(const std::string& sql,
                                                std::move(table_rows), ropts);
     // Table-only snapshots and past-window queries may already be
     // executable: fire them now.
-    Timestamp hwm = kMaxTimestamp;
-    for (const StreamDef& def : aq.defs) {
-      if (!def.is_table) {
-        const StreamState& src = streams_.at(def.name);
-        hwm = std::min(hwm, speculative
-                                ? std::max(src.watermark,
-                                           src.reorder.raw_watermark())
-                                : src.watermark);
-      }
-    }
+    const Timestamp hwm = FootprintWatermark(*qs);
     std::vector<ResultSet> sets;
     qs->runner->Advance(hwm == kMaxTimestamp ? 0 : hwm, &sets);
     DeliverResults(qs.get(), std::move(sets));
+    for (StreamState* src : qs->footprint) src->windowed.push_back(qs.get());
   }
 
-  qs->active = true;
   if (qs->consistency == Consistency::kSpeculative) ++num_speculative_;
+  output_schemas_.push_back(qs->analyzed.output_schema);
   {
-    // The egress thread indexes queries_ under results_mu_; push_back may
-    // reallocate the vector's storage.
+    // SetCallback/Poll (and, through cacq_owner, the egress thread) reach
+    // query state under results_mu_.
     std::lock_guard<std::mutex> rlock(results_mu_);
-    queries_.push_back(std::move(qs));
+    queries_.emplace(qid, std::move(qs));
   }
   return qid;
 }
 
+void Server::MapCacqSlotLocked(StreamState* ss, QueryId slot,
+                               QueryState* qs) {
+  qs->cacq_stream = ss;
+  qs->cacq_id = slot;
+  ++(qs->consistency == Consistency::kSpeculative ? ss->cacq_speculative
+                                                  : ss->cacq_delayed);
+  std::lock_guard<std::mutex> rlock(results_mu_);
+  if (slot >= ss->cacq_owner.size()) ss->cacq_owner.resize(slot + 1, nullptr);
+  ss->cacq_owner[slot] = qs;
+}
+
+Timestamp Server::FootprintWatermark(const QueryState& qs) const {
+  // Delayed queries read the min safe watermark of their footprint;
+  // speculative ones the min raw watermark (floored at safe: a raw mark
+  // never trails what has already been released).
+  const bool speculative = qs.consistency == Consistency::kSpeculative;
+  Timestamp hwm = kMaxTimestamp;
+  for (const StreamState* src : qs.footprint) {
+    hwm = std::min(hwm, speculative ? std::max(src->watermark,
+                                               src->reorder.raw_watermark())
+                                    : src->watermark);
+  }
+  return hwm;
+}
+
+ResultSet Server::ProjectCacqRow(const QueryState& owner, const Tuple& t) {
+  std::vector<Value> cells;
+  cells.reserve(owner.analyzed.projections.size());
+  for (const ExprPtr& e : owner.analyzed.projections) {
+    cells.push_back(e->Eval(t));
+  }
+  ResultSet rs;
+  rs.t = t.timestamp();
+  Tuple row = Tuple::Make(std::move(cells), t.timestamp());
+  row.set_retraction(t.retraction());
+  rs.rows.push_back(std::move(row));
+  return rs;
+}
+
 Status Server::SetCallback(QueryId q, Callback cb) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (q >= queries_.size() || !queries_[q]->active) {
-    return Status::NotFound("no such active query");
-  }
-  QueryState* qs = queries_[q].get();
+  auto it = queries_.find(q);
+  if (it == queries_.end()) return Status::NotFound("no such active query");
+  QueryState* qs = it->second.get();
   std::lock_guard<std::mutex> rlock(results_mu_);
   qs->callback = std::move(cb);
   // Flush anything already queued.
@@ -435,46 +445,45 @@ Status Server::SetCallback(QueryId q, Callback cb) {
 
 Status Server::Cancel(QueryId q) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (q >= queries_.size() || !queries_[q]->active) {
-    return Status::NotFound("no such active query");
-  }
-  QueryState* qs = queries_[q].get();
-  qs->active = false;
-  if (qs->consistency == Consistency::kSpeculative && num_speculative_ > 0) {
-    --num_speculative_;
-  }
-  if (qs->is_cacq) {
-    StreamState& ss = streams_.at(qs->cacq_stream);
-    size_t& lane = qs->consistency == Consistency::kSpeculative
-                       ? ss.cacq_speculative
-                       : ss.cacq_delayed;
-    if (lane > 0) --lane;
-    if (ss.sharded != nullptr) {
-      // Unmap first so the egress thread drops emissions still in flight,
-      // then barrier the removal through the shard control path.
-      {
-        std::lock_guard<std::mutex> rlock(results_mu_);
-        ss.cacq_to_server.erase(qs->cacq_id);
-      }
-      TCQ_RETURN_NOT_OK(ss.sharded->RemoveQuery(qs->cacq_id));
-    } else {
-      TCQ_RETURN_NOT_OK(ss.cacq->RemoveQuery(qs->cacq_id));
+  auto it = queries_.find(q);
+  if (it == queries_.end()) return Status::NotFound("no such active query");
+  QueryState* qs = it->second.get();
+  if (qs->consistency == Consistency::kSpeculative) --num_speculative_;
+  Status st = Status::OK();
+  if (qs->cacq_stream != nullptr) {
+    StreamState& ss = *qs->cacq_stream;
+    --(qs->consistency == Consistency::kSpeculative ? ss.cacq_speculative
+                                                    : ss.cacq_delayed);
+    // Unmap first: the sharded egress thread then drops emissions still
+    // in flight, and the engine may hand the slot to a later Submit.
+    {
       std::lock_guard<std::mutex> rlock(results_mu_);
-      ss.cacq_to_server.erase(qs->cacq_id);
+      ss.cacq_owner[qs->cacq_id] = nullptr;
+    }
+    st = ss.sharded != nullptr ? ss.sharded->RemoveQuery(qs->cacq_id)
+                               : ss.cacq->RemoveQuery(qs->cacq_id);
+  } else {
+    for (StreamState* src : qs->footprint) {
+      src->windowed.erase(
+          std::find(src->windowed.begin(), src->windowed.end(), qs));
     }
   }
-  qs->runner.reset();
+  // Free everything but the output schema; the id is never reissued.
+  std::unique_ptr<QueryState> retired;
   {
     std::lock_guard<std::mutex> rlock(results_mu_);
-    qs->results.clear();
+    retired_rows_delivered_ += qs->rows_delivered;
+    retired = std::move(it->second);
+    queries_.erase(it);
   }
-  return Status::OK();
+  TCQ_METRIC(ServerMetrics::Get().cancelled_queries->Add(1));
+  return st;
 }
 
 Result<SchemaPtr> Server::OutputSchema(QueryId q) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (q >= queries_.size()) return Status::NotFound("no such query");
-  return queries_[q]->analyzed.output_schema;
+  if (q >= output_schemas_.size()) return Status::NotFound("no such query");
+  return output_schemas_[q];
 }
 
 Status Server::Push(const std::string& stream, const Tuple& tuple) {
@@ -504,48 +513,21 @@ Status Server::StampLocked(StreamState* ss, Tuple* tuple) {
   return Status::OK();
 }
 
-void Server::AdvanceQueriesLocked(const std::string& stream) {
-  // Advance every windowed query whose footprint includes this stream —
-  // delayed queries to the min safe watermark of their footprint,
-  // speculative ones to the min raw watermark (floored at safe: a raw
-  // mark never trails what has already been released).
-  for (auto& qptr : queries_) {
-    QueryState* qs = qptr.get();
-    if (!qs->active || qs->runner == nullptr || qs->runner->done()) continue;
-    const bool speculative = qs->consistency == Consistency::kSpeculative;
-    bool touches = false;
-    Timestamp hwm = kMaxTimestamp;
-    for (const StreamDef& def : qs->analyzed.defs) {
-      if (def.is_table) continue;
-      if (def.name == stream) touches = true;
-      const StreamState& src = streams_.at(def.name);
-      hwm = std::min(hwm, speculative
-                              ? std::max(src.watermark,
-                                         src.reorder.raw_watermark())
-                              : src.watermark);
-    }
-    if (!touches || hwm == kMaxTimestamp) continue;
+void Server::AdvanceQueriesLocked(const StreamState& ss) {
+  for (QueryState* qs : ss.windowed) {
+    if (qs->runner->done()) continue;
+    const Timestamp hwm = FootprintWatermark(*qs);
+    if (hwm == kMaxTimestamp) continue;
     std::vector<ResultSet> sets;
     qs->runner->Advance(hwm, &sets);
     if (!sets.empty()) DeliverResults(qs, std::move(sets));
   }
 }
 
-void Server::ReviseQueriesLocked(const std::string& stream,
-                                 Timestamp late_ts) {
+void Server::ReviseQueriesLocked(const StreamState& ss, Timestamp late_ts) {
   if (num_speculative_ == 0) return;  // Per-batch call; skip the sweep.
-  for (auto& qptr : queries_) {
-    QueryState* qs = qptr.get();
-    if (!qs->active || qs->runner == nullptr) continue;
+  for (QueryState* qs : ss.windowed) {
     if (qs->consistency != Consistency::kSpeculative) continue;
-    bool touches = false;
-    for (const StreamDef& def : qs->analyzed.defs) {
-      if (!def.is_table && def.name == stream) {
-        touches = true;
-        break;
-      }
-    }
-    if (!touches) continue;
     std::vector<ResultSet> sets;
     qs->runner->Revise(late_ts, &sets);
     if (!sets.empty()) DeliverResults(qs, std::move(sets));
@@ -569,7 +551,7 @@ Status Server::ApplyReleasedLocked(const std::string& stream,
   // Delayed-lane injection: standing delayed queries consume the released
   // (timestamp-ordered) feed, never raw arrivals.
   if (ss.sharded != nullptr) {
-    if (ss.cacq_delayed > 0 && !ss.cacq_to_server.empty()) {
+    if (ss.cacq_delayed > 0) {
       TCQ_RETURN_NOT_OK(ss.sharded->PushBatch(stream, std::move(released),
                                               IngressLane::kDelayed));
     }
@@ -619,7 +601,7 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   // into `raw` is pure overhead on the hot ingest path.
   const bool want_spec =
       (ss.sharded != nullptr)
-          ? (ss.cacq_speculative > 0 && !ss.cacq_to_server.empty())
+          ? ss.cacq_speculative > 0
           : (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0 &&
              ss.cacq_speculative > 0);
   std::vector<Tuple> raw;
@@ -719,7 +701,7 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   for (const Tuple& t : late_inserts) ss.archive->InsertOrdered(t);
 
   if (accepted > 0) {
-    AdvanceQueriesLocked(stream);
+    AdvanceQueriesLocked(ss);
     // Speculative-lane injection: raw arrivals, in arrival order.
     if (want_spec && !raw.empty()) {
       if (ss.sharded != nullptr) {
@@ -731,7 +713,7 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
       }
     }
   }
-  if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(stream, revise_ts);
+  if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(ss, revise_ts);
   return first_error;
 }
 
@@ -769,9 +751,9 @@ Status Server::SetDisorderBound(const std::string& stream,
     const Timestamp min_released =
         released.empty() ? kMaxTimestamp : released.front().timestamp();
     TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
-    AdvanceQueriesLocked(stream);
+    AdvanceQueriesLocked(ss);
     if (min_released != kMaxTimestamp) {
-      ReviseQueriesLocked(stream, min_released);
+      ReviseQueriesLocked(ss, min_released);
     }
   }
   return Status::OK();
@@ -806,9 +788,9 @@ Status Server::HeartbeatLocked(const std::string& stream, StreamState* sp,
       released.empty() ? kMaxTimestamp : released.front().timestamp();
   TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
   if (ts > ss.watermark) ss.watermark = ts;
-  AdvanceQueriesLocked(stream);
+  AdvanceQueriesLocked(ss);
   if (min_released != kMaxTimestamp) {
-    ReviseQueriesLocked(stream, min_released);
+    ReviseQueriesLocked(ss, min_released);
   }
   return Status::OK();
 }
@@ -850,7 +832,7 @@ Status Server::Retract(const std::string& stream, const Tuple& tuple) {
   // Both CACQ lanes saw the assertion, so the signed tuple flows to all
   // standing queries (kAll); it cancels SteM state and emits signed rows.
   if (ss.sharded != nullptr) {
-    if (!ss.cacq_to_server.empty()) {
+    if (ss.cacq_live() > 0) {
       TCQ_RETURN_NOT_OK(ss.sharded->Push(stream, r));
     }
   } else if (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0) {
@@ -858,7 +840,7 @@ Status Server::Retract(const std::string& stream, const Tuple& tuple) {
   }
   // Fired speculative windows covering the timestamp must be revised;
   // delayed windows that already fired keep the stale row (documented).
-  ReviseQueriesLocked(stream, r.timestamp());
+  ReviseQueriesLocked(ss, r.timestamp());
   return Status::OK();
 }
 
@@ -876,20 +858,9 @@ size_t Server::PumpHeartbeats() {
     // same timestamp domain. Single-stream queries never stall on a
     // partner, so a stream with no multi-stream footprint is left alone.
     Timestamp target = kMinTimestamp;
-    for (const auto& qptr : queries_) {
-      const QueryState* qs = qptr.get();
-      if (!qs->active || qs->runner == nullptr) continue;
-      bool touches = false;
-      size_t stream_defs = 0;
-      for (const StreamDef& def : qs->analyzed.defs) {
-        if (def.is_table) continue;
-        ++stream_defs;
-        if (def.name == name) touches = true;
-      }
-      if (!touches || stream_defs < 2) continue;
-      for (const StreamDef& def : qs->analyzed.defs) {
-        if (def.is_table || def.name == name) continue;
-        target = std::max(target, streams_.at(def.name).watermark);
+    for (const QueryState* qs : ss.windowed) {
+      for (const StreamState* partner : qs->footprint) {
+        if (partner != &ss) target = std::max(target, partner->watermark);
       }
     }
     if (target <= ss.watermark) continue;  // Nothing to unblock.
@@ -935,7 +906,7 @@ Status Server::ReplayStream(const std::string& stream, Timestamp from_ts) {
       max_ts = std::max(max_ts, chunk.back().timestamp());
       replayed += chunk.size();
       if (ss.sharded != nullptr) {
-        if (!ss.cacq_to_server.empty()) {
+        if (ss.cacq_live() > 0) {
           TCQ_RETURN_NOT_OK(ss.sharded->PushBatch(stream, std::move(chunk),
                                                   IngressLane::kAll));
         }
@@ -958,7 +929,7 @@ Status Server::ReplayStream(const std::string& stream, Timestamp from_ts) {
     ss.reorder.Punctuate(max_ts, &released);
     TCQ_CHECK(released.empty());
     if (max_ts > ss.watermark) ss.watermark = max_ts;
-    AdvanceQueriesLocked(stream);
+    AdvanceQueriesLocked(ss);
   }
   return Status::OK();
 }
@@ -982,20 +953,10 @@ void Server::DeliverShardEmissions(
   // blocked on a full exchange queue — taking it here would deadlock.
   std::lock_guard<std::mutex> rlock(results_mu_);
   for (auto& [engine_q, t] : batch) {
-    auto it = ss->cacq_to_server.find(engine_q);
-    if (it == ss->cacq_to_server.end()) continue;  // Canceled mid-flight.
-    QueryState* owner = queries_[it->second].get();
-    // Project per the query's select list (immutable after Submit).
-    std::vector<Value> cells;
-    cells.reserve(owner->analyzed.projections.size());
-    for (const ExprPtr& e : owner->analyzed.projections) {
-      cells.push_back(e->Eval(t));
-    }
-    ResultSet rs;
-    rs.t = t.timestamp();
-    Tuple row = Tuple::Make(std::move(cells), t.timestamp());
-    row.set_retraction(t.retraction());
-    rs.rows.push_back(std::move(row));
+    QueryState* owner =
+        engine_q < ss->cacq_owner.size() ? ss->cacq_owner[engine_q] : nullptr;
+    if (owner == nullptr) continue;  // Canceled mid-flight.
+    ResultSet rs = ProjectCacqRow(*owner, t);
     owner->rows_delivered += 1;
     TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(1));
     if (owner->callback) {
@@ -1009,11 +970,13 @@ void Server::DeliverShardEmissions(
 std::optional<ResultSet> Server::Poll(QueryId q) {
   std::lock_guard<std::mutex> lock(mu_);
   std::lock_guard<std::mutex> rlock(results_mu_);
-  if (q >= queries_.size() || queries_[q]->results.empty()) {
+  auto it = queries_.find(q);
+  if (it == queries_.end() || it->second->results.empty()) {
     return std::nullopt;
   }
-  ResultSet rs = std::move(queries_[q]->results.front());
-  queries_[q]->results.pop_front();
+  std::deque<ResultSet>& dq = it->second->results;
+  ResultSet rs = std::move(dq.front());
+  dq.pop_front();
   return rs;
 }
 
@@ -1021,8 +984,9 @@ std::vector<ResultSet> Server::PollAll(QueryId q) {
   std::lock_guard<std::mutex> lock(mu_);
   std::lock_guard<std::mutex> rlock(results_mu_);
   std::vector<ResultSet> out;
-  if (q >= queries_.size()) return out;
-  auto& dq = queries_[q]->results;
+  auto it = queries_.find(q);
+  if (it == queries_.end()) return out;
+  auto& dq = it->second->results;
   out.assign(std::make_move_iterator(dq.begin()),
              std::make_move_iterator(dq.end()));
   dq.clear();
@@ -1031,11 +995,7 @@ std::vector<ResultSet> Server::PollAll(QueryId q) {
 
 size_t Server::num_active_queries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& q : queries_) {
-    if (q->active) ++n;
-  }
-  return n;
+  return queries_.size();
 }
 
 size_t Server::PumpMetrics() {
@@ -1104,16 +1064,14 @@ size_t Server::PumpMetrics() {
     add(prefix + "disorder.unmatched_retractions", "counter",
         static_cast<double>(ss.dis.unmatched_retractions));
   }
-  size_t active = 0;
   uint64_t delivered = 0;
   {
     std::lock_guard<std::mutex> rlock(results_mu_);
-    for (const auto& q : queries_) {
-      if (q->active) ++active;
-      delivered += q->rows_delivered;
-    }
+    delivered = retired_rows_delivered_;
+    for (const auto& [id, q] : queries_) delivered += q->rows_delivered;
   }
-  add("tcq.server.active_queries", "gauge", static_cast<double>(active));
+  add("tcq.server.active_queries", "gauge",
+      static_cast<double>(queries_.size()));
   add("tcq.server.query_delivered_rows", "counter",
       static_cast<double>(delivered));
 
@@ -1160,11 +1118,7 @@ std::string Server::SnapshotMetrics() const {
                               : ss.reorder.raw_watermark()) +
            ",\"buffered\":" + std::to_string(ss.reorder.buffered()) +
            ",\"cacq_queries\":" +
-           std::to_string(ss.sharded != nullptr
-                              ? ss.cacq_to_server.size()
-                              : (ss.cacq != nullptr
-                                     ? ss.cacq->num_active_queries()
-                                     : 0)) +
+           std::to_string(ss.cacq_live()) +
            ",\"disorder\":{\"released\":" + std::to_string(ss.dis.released) +
            ",\"late_within_bound\":" +
            std::to_string(ss.dis.late_within_bound) +
@@ -1201,13 +1155,13 @@ std::string Server::SnapshotMetrics() const {
   first = true;
   {
     std::lock_guard<std::mutex> rlock(results_mu_);
-    for (size_t q = 0; q < queries_.size(); ++q) {
-      const QueryState& qs = *queries_[q];
+    for (const auto& [q, qptr] : queries_) {
+      const QueryState& qs = *qptr;
       if (!first) out += ",";
       first = false;
       AppendKey(std::to_string(q), &out);
-      out += std::string("{\"active\":") + (qs.active ? "true" : "false") +
-             ",\"kind\":\"" + (qs.is_cacq ? "cacq" : "windowed") +
+      out += std::string("{\"active\":true,\"kind\":\"") +
+             (qs.cacq_stream != nullptr ? "cacq" : "windowed") +
              "\",\"delivered_rows\":" + std::to_string(qs.rows_delivered) +
              ",\"pending_sets\":" + std::to_string(qs.results.size()) + "}";
     }
@@ -1245,7 +1199,8 @@ std::string Server::SnapshotMetrics() const {
       out += "{\"name\":\"" + JsonEscape(stems[i].name) +
              "\",\"size\":" + std::to_string(stems[i].size) +
              ",\"probes\":" + std::to_string(stems[i].probes) +
-             ",\"scanned\":" + std::to_string(stems[i].scanned) + "}";
+             ",\"scanned\":" + std::to_string(stems[i].scanned) +
+             ",\"matches\":" + std::to_string(stems[i].matches) + "}";
     }
     out += "]}";
   }

@@ -261,14 +261,19 @@ class Server {
   std::string SnapshotMetrics() const;
 
  private:
+  struct StreamState;
+
+  /// A live query. Cancel destroys it; only the output schema outlives it
+  /// (output_schemas_).
   struct QueryState {
-    bool active = false;
-    bool is_cacq = false;
     Consistency consistency = Consistency::kDelayed;
     AnalyzedQuery analyzed;
-    std::unique_ptr<QueryRunner> runner;     ///< Windowed path.
-    std::string cacq_stream;                 ///< CACQ path.
-    QueryId cacq_id = 0;
+    std::unique_ptr<QueryRunner> runner;  ///< Windowed path.
+    /// Windowed path: the distinct streams of the footprint (map nodes are
+    /// address-stable), read for the watermark minimum on every advance.
+    std::vector<StreamState*> footprint;
+    StreamState* cacq_stream = nullptr;  ///< CACQ path (null: windowed).
+    QueryId cacq_id = 0;                 ///< Engine slot on that stream.
     std::deque<ResultSet> results;
     Callback callback;
     uint64_t rows_delivered = 0;  ///< Egress rows (queued or called back).
@@ -311,11 +316,27 @@ class Server {
     size_t partition_column = 0;
     std::unique_ptr<CacqEngine> cacq;  ///< Lazy inline eddy (1 shard).
     std::unique_ptr<ShardedEngine> sharded;  ///< Lazy shard fleet (N > 1).
-    /// Engine qid -> server qid. Guarded by results_mu_ (the egress
-    /// thread resolves emissions through it); writers hold mu_ too.
-    std::map<QueryId, QueryId> cacq_to_server;
+    /// Engine slot -> live owning query (null = free slot, or a cancelled
+    /// query whose in-flight emissions are dropped). Engine slots are
+    /// dense and reused, so this stays as wide as the peak live count.
+    /// Guarded by results_mu_ (the egress thread resolves emissions
+    /// through it); writers hold mu_ too.
+    std::vector<QueryState*> cacq_owner;
+    /// Live windowed queries whose footprint includes this stream, in
+    /// submission order: the only queries an ingest on this stream can
+    /// advance or revise. CACQ and cancelled queries never appear here.
+    std::vector<QueryState*> windowed;
+
+    size_t cacq_live() const { return cacq_delayed + cacq_speculative; }
   };
 
+  /// Records that `qs` owns engine slot `slot` on `ss`'s CACQ engine.
+  void MapCacqSlotLocked(StreamState* ss, QueryId slot, QueryState* qs);
+  /// Watermark a windowed query may advance to: the minimum over its
+  /// footprint (safe marks when delayed, raw marks when speculative).
+  Timestamp FootprintWatermark(const QueryState& qs) const;
+  /// Projects a full-width CACQ result tuple per the owner's select list.
+  static ResultSet ProjectCacqRow(const QueryState& owner, const Tuple& t);
   void DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets);
   /// Egress-thread delivery for one sharded stream's emission batch.
   /// Takes results_mu_ only — never mu_ (the producer may hold it).
@@ -326,13 +347,13 @@ class Server {
   /// (declared column or arrival order). Watermark logic lives in
   /// IngestBatchLocked — stamping no longer touches it.
   Status StampLocked(StreamState* ss, Tuple* tuple);
-  /// Advances every windowed query whose footprint includes `stream` —
+  /// Advances every windowed query whose footprint includes `ss` —
   /// delayed queries to the min safe watermark over their footprint,
   /// speculative ones to the min raw watermark.
-  void AdvanceQueriesLocked(const std::string& stream);
-  /// Revision pass: tells every speculative windowed query watching
-  /// `stream` that data at or after `late_ts` changed under fired windows.
-  void ReviseQueriesLocked(const std::string& stream, Timestamp late_ts);
+  void AdvanceQueriesLocked(const StreamState& ss);
+  /// Revision pass: tells every speculative windowed query watching `ss`
+  /// that data at or after `late_ts` changed under fired windows.
+  void ReviseQueriesLocked(const StreamState& ss, Timestamp late_ts);
   /// Spools reorder-buffer releases: archive append, safe-watermark
   /// advance, delayed-lane injection. The shared tail of ingest,
   /// Heartbeat and PumpHeartbeats.
@@ -348,8 +369,8 @@ class Server {
   /// Serializes catalog, ingest and query registration (as before).
   mutable std::mutex mu_;
   /// Guards query result state (QueryState::results/callback/
-  /// rows_delivered), the queries_ vector storage, and every
-  /// cacq_to_server map — the state the sharded egress thread touches.
+  /// rows_delivered), the queries_ map, retired_rows_delivered_ and
+  /// every cacq_owner table — the state the sharded egress thread touches.
   /// Lock order: mu_ before results_mu_; the egress thread takes
   /// results_mu_ alone, so it can never deadlock with a producer
   /// blocked on a full exchange while holding mu_.
@@ -361,10 +382,17 @@ class Server {
   /// pointers into it.
   std::unique_ptr<Spool> spool_;
   std::map<std::string, StreamState> streams_;
-  std::vector<std::unique_ptr<QueryState>> queries_;
-  /// Live kSpeculative queries. ReviseQueriesLocked runs per ingest batch
-  /// and sweeps `queries_`, which grows with lifetime submits — the sweep
-  /// must be skippable in the common no-speculative-queries case.
+  /// Live queries by public id. Public ids are monotonic and never
+  /// reused; a cancelled id is simply absent (NotFound).
+  std::map<QueryId, std::unique_ptr<QueryState>> queries_;
+  /// Output schema per public id ever issued (the one thing that outlives
+  /// Cancel); its size is the next public id.
+  std::vector<SchemaPtr> output_schemas_;
+  /// Egress rows of cancelled queries, so the delivered-rows total that
+  /// PumpMetrics publishes stays monotonic.
+  uint64_t retired_rows_delivered_ = 0;
+  /// Live kSpeculative queries: lets ReviseQueriesLocked skip its per-batch
+  /// sweep in the common no-speculative-queries case.
   size_t num_speculative_ = 0;
   /// Millisecond clock for idle-heartbeat detection (injectable).
   std::function<int64_t()> clock_ms_;

@@ -138,6 +138,7 @@ EddyOpResult StemProbeOp::Process(RoutedTuple& rt) {
       const Value keep = residual_->Eval(merged);
       if (keep.is_null() || !keep.bool_value()) return;
     }
+    stem_->CountMatch();
     result.outputs.push_back(
         MakeJoinOutput(*layout_, rt, target_, std::move(merged)));
   });
@@ -193,15 +194,19 @@ EddyOpResult RemoteIndexProbeOp::Process(RoutedTuple& rt) {
     Tuple merged = layout_->MergeSparse(rt.tuple, wide_stored);
     if (residual_ != nullptr) {
       const Value keep = residual_->Eval(merged);
-      if (keep.is_null() || !keep.bool_value()) return;
+      if (keep.is_null() || !keep.bool_value()) return false;
     }
     result.outputs.push_back(
         MakeJoinOutput(*layout_, rt, target_, std::move(merged)));
+    return true;
   };
 
   if (cache_ != nullptr && cached_keys_.count(key) != 0) {
     ++cache_hits_;
-    cache_->ProbeCollect(&key, kMinTimestamp, kMaxTimestamp, emit_match);
+    cache_->ProbeCollect(&key, kMinTimestamp, kMaxTimestamp,
+                         [&](const Tuple& stored) {
+                           if (emit_match(stored)) cache_->CountMatch();
+                         });
     return result;
   }
 

@@ -113,11 +113,11 @@ void GroupedFilter::RebuildIndex() const {
 
   // Per-query region interval [lo, hi], aggregated per registered range
   // factor — everything below is sized by live registrations plus
-  // O(width/64) word ops, never by a per-id O(width) element loop:
-  // QueryIds are allocated monotonically and churn leaves the id space
-  // sparse, so at k live queries after many submit/cancel cycles the
-  // width can be orders of magnitude larger than k. Each range factor on
-  // bound c_i (region index 2i+1 for the point) tightens the interval:
+  // O(width/64) word ops, never by a per-id O(width) element loop. The
+  // CACQ engine reuses freed QueryId slots, so the width is the peak live
+  // query count; it can still exceed the live count k after a burst, or
+  // when a caller hands out sparse ids. Each range factor on bound c_i
+  // (region index 2i+1 for the point) tightens the interval:
   //   > c_i  -> lo = max(lo, 2i+2)        >= c_i -> lo = max(lo, 2i+1)
   //   < c_i  -> hi = min(hi, 2i)          <= c_i -> hi = min(hi, 2i+1)
   // A contradictory range (lo > hi) covers nothing.

@@ -150,6 +150,14 @@ class SteM {
     }
   }
 
+  /// Counts one join result the caller kept from a ProbeCollect visit.
+  /// ProbeCollect cannot count matches itself: the caller applies the
+  /// arrival-order dedup and the residual predicate after the visit.
+  void CountMatch() const {
+    ++stats_.matches;
+    TCQ_METRIC(stem_internal::AggregateMetrics::Get().matches->Add(1));
+  }
+
   // -- Statistics -------------------------------------------------------
   // Internally the SteM counts with telemetry counters (relaxed atomics,
   // also mirrored into the process-wide `tcq.stem.*` aggregates); this

@@ -103,7 +103,70 @@ std::optional<WindowSequence::Step> WindowSequence::Next() {
   return step;
 }
 
-Status ValidateForLoop(const ForLoopSpec& spec) {
+namespace {
+
+/// A query runner fires every window whose right end trails the
+/// watermark, in a loop, under the server lock. A for-loop that never
+/// ends must therefore move some window's right end forward, or one
+/// ingest fires windows forever. Evaluates the first two iterations from
+/// start time 1 with WindowSequence's rules (init sees the variable as 0,
+/// a missing step is t + 1): the loop variable must change on every step,
+/// and a loop whose condition still holds far out in its direction of
+/// travel needs a clause whose right end increases. Loops that end within
+/// the probe, or whose expressions are malformed (the sequence then ends
+/// at run time), pass. Runs on every Submit, so it evaluates expressions
+/// directly rather than materializing WindowSequence steps.
+Status CheckLoopProgress(const ForLoopSpec& spec) {
+  if (spec.condition == nullptr) return Status::OK();  // Runs once.
+  constexpr Timestamp kFar = Timestamp{1} << 32;
+  VarEnv env;
+  env["ST"] = Value::Int64(1);
+  Value& var = env[spec.var];
+  auto int_at = [&](const ExprPtr& e, Timestamp t, Timestamp* out) {
+    var = Value::Int64(t);
+    const Value v = e->EvalConst(env);
+    if (v.type() != ValueType::kInt64) return false;
+    *out = v.int64_value();
+    return true;
+  };
+  auto holds_at = [&](Timestamp t) {
+    var = Value::Int64(t);
+    const Value v = spec.condition->EvalConst(env);
+    return v.type() == ValueType::kBool && v.bool_value();
+  };
+  auto next = [&](Timestamp t, Timestamp* out) {
+    if (spec.step != nullptr) return int_at(spec.step, t, out);
+    *out = t + 1;
+    return true;
+  };
+  Timestamp t0 = 0, t1 = 0, t2 = 0;
+  if (spec.init != nullptr && !int_at(spec.init, 0, &t0)) return Status::OK();
+  if (!holds_at(t0) || !next(t0, &t1) || !holds_at(t1) || !next(t1, &t2)) {
+    return Status::OK();
+  }
+  if (t1 == t0 || t2 == t1) {
+    return Status::InvalidArgument(
+        "for-loop step does not advance the loop variable: " +
+        spec.step->ToString());
+  }
+  // Does the condition still hold far out in the direction of travel?
+  if (!holds_at(t2 + (t2 > t0 ? kFar : -kFar))) return Status::OK();
+  for (const WindowIsClause& c : spec.windows) {
+    Timestamp r0 = 0, r1 = 0;
+    if (!int_at(c.right_end, t0, &r0) || !int_at(c.right_end, t1, &r1) ||
+        r1 > r0) {
+      return Status::OK();
+    }
+  }
+  return Status::InvalidArgument(
+      "for-loop never ends and no window's right end moves forward, so its "
+      "windows would fire forever: condition " +
+      spec.condition->ToString() + ", step " +
+      (spec.step != nullptr ? spec.step->ToString() : spec.var + " + 1"));
+}
+
+/// Every bound expression may reference only the loop variable and ST.
+Status CheckLoopExpressions(const ForLoopSpec& spec) {
   auto check_expr = [&](const ExprPtr& e, const char* what) -> Status {
     if (e == nullptr) return Status::OK();
     std::vector<std::string> columns;
@@ -140,13 +203,22 @@ Status ValidateForLoop(const ForLoopSpec& spec) {
   return Status::OK();
 }
 
+}  // namespace
+
+Status ValidateForLoop(const ForLoopSpec& spec) {
+  TCQ_RETURN_NOT_OK(CheckLoopExpressions(spec));
+  return CheckLoopProgress(spec);
+}
+
 Result<WindowShape> ClassifyWindow(const ForLoopSpec& spec,
                                    size_t clause_index, Timestamp st,
                                    size_t probe_steps) {
   if (clause_index >= spec.windows.size()) {
     return Status::OutOfRange("clause index out of range");
   }
-  TCQ_RETURN_NOT_OK(ValidateForLoop(spec));
+  // The probe below is bounded, so a loop that never makes progress only
+  // classifies as kGeneral here; Submit rejects it (ValidateForLoop).
+  TCQ_RETURN_NOT_OK(CheckLoopExpressions(spec));
 
   WindowSequence seq(&spec, st);
   std::vector<WindowBounds> probes;

@@ -127,7 +127,10 @@ Result<WindowShape> ClassifyWindow(const ForLoopSpec& spec,
                                    size_t probe_steps = 8);
 
 /// Validates that every bound expression only references the loop variable
-/// and ST, and that the clause list is non-empty for stream queries.
+/// and ST, that every WindowIs clause names a stream and both ends, and
+/// that the loop makes progress: the step changes the loop variable, and a
+/// loop that never ends moves some window's right end forward (otherwise a
+/// runner would fire windows forever).
 Status ValidateForLoop(const ForLoopSpec& spec);
 
 /// Convenience builders for the common window shapes (used by tests,

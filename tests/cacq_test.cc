@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -232,6 +235,148 @@ std::string StockTickerSourceSymbolForTest(uint64_t i) {
 
 // Property: shared execution of N random selection queries produces
 // exactly what N independent evaluations produce.
+TEST(CacqEngineTest, SharedJoinCountsStemMatches) {
+  CacqEngine engine;
+  SchemaPtr ab =
+      Schema::Make({{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
+  ASSERT_TRUE(engine.AddStream("A", ab).ok());
+  ASSERT_TRUE(engine.AddStream("B", ab).ok());
+  int hits = 0;
+  engine.SetSink([&](QueryId, const Tuple&) { ++hits; });
+  CacqQuerySpec q;
+  q.sources = {"A", "B"};
+  q.where = Expr::Binary(BinaryOp::kEq, Expr::Column("A.k"),
+                         Expr::Column("B.k"));
+  ASSERT_TRUE(engine.AddQuery(q).ok());
+  auto row = [](int64_t k, Timestamp ts) {
+    return Tuple::Make({Value::Int64(k), Value::Int64(0)}, ts);
+  };
+  ASSERT_TRUE(engine.Inject("A", row(1, 1)).ok());
+  ASSERT_TRUE(engine.Inject("A", row(2, 2)).ok());
+  ASSERT_TRUE(engine.Inject("B", row(1, 3)).ok());  // One join result.
+  ASSERT_TRUE(engine.Inject("B", row(3, 4)).ok());  // Probes, no match.
+  ASSERT_EQ(hits, 1);
+  uint64_t matches = 0, probes = 0;
+  for (const CacqEngine::StemSnapshot& s : engine.stem_snapshots()) {
+    matches += s.matches;
+    probes += s.probes;
+  }
+  EXPECT_EQ(matches, 1u);
+  EXPECT_GT(probes, matches);
+}
+
+TEST(CacqEngineTest, RemovedSlotsAreReusedLowestFirst) {
+  CacqEngine engine;
+  ASSERT_TRUE(engine.AddStream("Stocks", StockSchema()).ok());
+  CacqQuerySpec spec;
+  spec.sources = {"Stocks"};
+  spec.where = SymEq("MSFT");
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 4; ++i) {
+    auto q = engine.AddQuery(spec);
+    ASSERT_TRUE(q.ok());
+    ids.push_back(*q);
+  }
+  EXPECT_EQ(ids, (std::vector<QueryId>{0, 1, 2, 3}));
+  ASSERT_TRUE(engine.RemoveQuery(2).ok());
+  ASSERT_TRUE(engine.RemoveQuery(1).ok());
+  EXPECT_EQ(*engine.AddQuery(spec), 1u);
+  EXPECT_EQ(*engine.AddQuery(spec), 2u);
+  EXPECT_EQ(*engine.AddQuery(spec), 4u);
+  EXPECT_EQ(engine.num_query_slots(), 5u);
+  // Explicit placement: a live slot is refused, a slot past the table
+  // leaves the gap free for AddQuery.
+  EXPECT_EQ(engine.AddQueryAt(3, spec).code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(engine.AddQueryAt(7, spec).ok());
+  EXPECT_EQ(*engine.AddQuery(spec), 5u);
+  EXPECT_EQ(engine.num_active_queries(), 7u);
+}
+
+TEST(CacqEngineTest, ReusedSlotStartsWithoutTheOldQuerysJoinState) {
+  CacqEngine engine;
+  SchemaPtr ab =
+      Schema::Make({{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
+  ASSERT_TRUE(engine.AddStream("A", ab).ok());
+  ASSERT_TRUE(engine.AddStream("B", ab).ok());
+  std::map<QueryId, int> hits;
+  engine.SetSink([&](QueryId q, const Tuple&) { ++hits[q]; });
+  CacqQuerySpec join;
+  join.sources = {"A", "B"};
+  join.where = Expr::Binary(BinaryOp::kEq, Expr::Column("A.k"),
+                            Expr::Column("B.k"));
+  auto row = [](int64_t k, Timestamp ts) {
+    return Tuple::Make({Value::Int64(k), Value::Int64(0)}, ts);
+  };
+  auto old_q = engine.AddQuery(join);
+  ASSERT_TRUE(old_q.ok());
+  ASSERT_TRUE(engine.Inject("A", row(1, 1)).ok());  // Stored with old_q's bit.
+  ASSERT_TRUE(engine.RemoveQuery(*old_q).ok());
+  auto new_q = engine.AddQuery(join);
+  ASSERT_TRUE(new_q.ok());
+  ASSERT_EQ(*new_q, *old_q);  // Same slot...
+  ASSERT_TRUE(engine.Inject("B", row(1, 2)).ok());
+  EXPECT_EQ(hits[*new_q], 0);  // ...but no history from before it arrived.
+  ASSERT_TRUE(engine.Inject("A", row(1, 3)).ok());
+  EXPECT_EQ(hits[*new_q], 1);  // Joins the B row stored after it arrived.
+}
+
+/// 10k submit/cancel cycles over 10 live queries: every width the engine
+/// sizes per tuple stays at the peak live count, and each injected tuple
+/// reaches exactly the live queries whose predicate it satisfies.
+TEST(CacqEngineTest, ChurnKeepsWidthsAtPeakLiveCount) {
+  CacqEngine engine;
+  ASSERT_TRUE(engine.AddStream("Stocks", StockSchema()).ok());
+  std::map<QueryId, int> hits;
+  engine.SetSink([&](QueryId q, const Tuple&) { ++hits[q]; });
+  constexpr size_t kLive = 10;
+  constexpr int kCycles = 10000;
+  const std::vector<std::string> symbols = {"MSFT", "IBM", "ORCL"};
+  struct Live {
+    QueryId id;
+    std::string sym;
+    double price;
+  };
+  auto spec_for = [](const Live& l) {
+    CacqQuerySpec spec;
+    spec.sources = {"Stocks"};
+    spec.where = Expr::Binary(BinaryOp::kAnd, SymEq(l.sym), PriceGt(l.price));
+    return spec;
+  };
+  std::deque<Live> live;
+  Rng rng(11);
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    if (live.size() == kLive) {
+      ASSERT_TRUE(engine.RemoveQuery(live.front().id).ok());
+      live.pop_front();
+    }
+    Live l{0, symbols[rng.NextBounded(symbols.size())],
+           static_cast<double>(rng.NextBounded(100))};
+    auto q = engine.AddQuery(spec_for(l));
+    ASSERT_TRUE(q.ok());
+    l.id = *q;
+    live.push_back(l);
+
+    const std::string sym = symbols[rng.NextBounded(symbols.size())];
+    const double price = static_cast<double>(rng.NextBounded(100));
+    hits.clear();
+    ASSERT_TRUE(engine.Inject("Stocks", Stock(cycle + 1, sym, price)).ok());
+    for (const Live& x : live) {
+      const int want = (x.sym == sym && price > x.price) ? 1 : 0;
+      ASSERT_EQ(hits[x.id], want) << "cycle " << cycle << " slot " << x.id;
+    }
+    ASSERT_EQ(hits.size(), live.size()) << "a removed slot emitted";
+  }
+  EXPECT_LE(engine.num_query_slots(), kLive);
+  size_t filters = 0;
+  for (size_t i = 0; i < engine.eddy().num_operators(); ++i) {
+    const auto* gf = dynamic_cast<const GroupedFilterOp*>(engine.eddy().op(i).get());
+    if (gf == nullptr) continue;
+    ++filters;
+    EXPECT_LE(gf->filter().num_queries(), kLive);
+  }
+  EXPECT_EQ(filters, 2u);  // stockSymbol and closingPrice.
+}
+
 class CacqSharingPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CacqSharingPropertyTest, MatchesIndependentEvaluation) {

@@ -59,6 +59,61 @@ class EmissionLedger {
   uint64_t total_ = 0;
 };
 
+/// Emission tally for query churn on reused engine slots. The test owns a
+/// slot table like the Server's: Own(slot, tag) after AddQuery returns,
+/// Disown(slot) before RemoveQuery. Every emission on an owned slot must
+/// carry its owner's tag in `tag_column` (tag < 0 accepts any). Emissions
+/// on an unowned slot are in flight across a removal, or race the Own
+/// after an AddQuery, and are dropped and counted. A wrong tag means an
+/// old query's row reached the query that reused its slot.
+class SlotOwnerLedger {
+ public:
+  explicit SlotOwnerLedger(size_t tag_column) : tag_column_(tag_column) {}
+
+  ShardedEngine::Sink MakeSink() {
+    return [this](std::vector<ShardedEngine::Emission>&& batch) {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const auto& [q, t] : batch) {
+        const auto owner = owners_.find(q);
+        if (owner == owners_.end()) {
+          ++unowned_;
+          continue;
+        }
+        const int64_t tag = t.cell(tag_column_).int64_value();
+        if (owner->second >= 0 && tag != owner->second) ++cross_deliveries_;
+        ++hits_[q];
+      }
+    };
+  }
+
+  void Own(QueryId slot, int64_t tag) {
+    std::lock_guard<std::mutex> lock(mu_);
+    owners_[slot] = tag;
+  }
+  void Disown(QueryId slot) {
+    std::lock_guard<std::mutex> lock(mu_);
+    owners_.erase(slot);
+  }
+
+  uint64_t hits(QueryId q) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = hits_.find(q);
+    return it == hits_.end() ? 0 : it->second;
+  }
+  uint64_t cross_deliveries() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cross_deliveries_;
+  }
+
+ private:
+  const size_t tag_column_;
+  mutable std::mutex mu_;
+  std::map<QueryId, int64_t> owners_;
+  std::map<QueryId, uint64_t> hits_;
+  uint64_t unowned_ = 0;
+  uint64_t cross_deliveries_ = 0;
+};
+
 /// Exchange-level conservation: every tuple pushed was routed to exactly
 /// one shard and injected by exactly one worker (original or promoted),
 /// and nothing is left in flight. Call after a successful Quiesce() with

@@ -75,10 +75,25 @@ std::string RunInline(const Workload& w) {
 /// die, promote the standby, keep feeding. The checkpoint cadence is
 /// varied per trial so some recoveries replay long changelog tails and
 /// some restore fresh snapshots.
+/// A query that never matches: churning it moves slots around without
+/// changing any result.
+CacqQuerySpec NeverMatches(const Workload& w) {
+  const std::string& stream = std::get<0>(w.streams.front());
+  CacqQuerySpec q;
+  q.sources = {stream};
+  q.where = Expr::Binary(BinaryOp::kLt, Expr::Column(stream + ".k"),
+                         Expr::Literal(Value::Int64(-1)));
+  return q;
+}
+
+/// With `churn`, never-matching queries are added and removed around the
+/// workload's registrations and after every fourth feed slice, so the
+/// workload's queries sit on reused, non-contiguous engine slots and every
+/// promotion rebuilds its fresh standby from a table with gaps.
 std::string RunShardedWithCrashes(const Workload& w, size_t num_shards,
                                   uint64_t seed,
                                   const std::vector<size_t>& order,
-                                  size_t chunk) {
+                                  size_t chunk, bool churn = false) {
   ShardedEngine::Options opts;
   opts.num_shards = num_shards;
   opts.seed = seed;
@@ -101,14 +116,25 @@ std::string RunShardedWithCrashes(const Workload& w, size_t num_shards,
   // tcq.ha.* counters are process-global (telemetry registry), so trials
   // in one process see each other's failovers: assert on the delta.
   const uint64_t failovers_before = engine.ha_stats().failovers;
-  // All queries are registered before the first kill: standby promotion
-  // rebuilds registrations from the engine's query history, which assumes
-  // no AddQuery races a dead primary (see DESIGN.md §13 limitations).
+  // Registrations never race a kill: standby promotion rebuilds them from
+  // the engine's slot table, which assumes no AddQuery races a dead
+  // primary (see DESIGN.md §13 limitations).
+  auto churn_once = [&](size_t extra) {
+    std::vector<QueryId> dummies;
+    for (size_t j = 0; j < extra; ++j) {
+      auto d = engine.AddQuery(NeverMatches(w));
+      EXPECT_TRUE(d.ok()) << d.status();
+      dummies.push_back(*d);
+    }
+    for (QueryId d : dummies) EXPECT_TRUE(engine.RemoveQuery(d).ok());
+  };
+  if (churn) churn_once(3);
   for (size_t i : order) {
     auto q = engine.AddQuery(w.queries[i]);
     EXPECT_TRUE(q.ok()) << q.status();
     std::lock_guard<std::mutex> lock(mu);
     label[*q] = i;
+    if (churn) churn_once(1 + i % 2);
   }
   size_t slice = 0;
   size_t crashes = 0;
@@ -118,6 +144,7 @@ std::string RunShardedWithCrashes(const Workload& w, size_t num_shards,
       std::vector<Tuple> slab(batch.begin() + static_cast<ptrdiff_t>(at),
                               batch.begin() + static_cast<ptrdiff_t>(at + n));
       EXPECT_TRUE(engine.PushBatch(stream, std::move(slab)).ok());
+      if (churn && slice % 4 == 1) churn_once(2);
       if (++slice % 3 == 0) {
         CrashInjector::CrashAndRecover(&engine,
                                        (crashes + seed) % num_shards);
@@ -234,6 +261,28 @@ TEST(FailoverEquivalenceTest, PartitionedJoinsSurviveRotatingShardCrashes) {
           const std::string got =
               RunShardedWithCrashes(w, shards, schedule.trial_seed + 1,
                                     schedule.order, schedule.quantum);
+          EXPECT_EQ(got, expected)
+              << "seed " << seed << ", shards " << shards << ", "
+              << ScheduleExplorer::Describe(schedule);
+          return got;
+        });
+    ASSERT_TRUE(common.ok()) << common.status();
+  }
+}
+
+TEST(FailoverEquivalenceTest, JoinsSurviveCrashesAfterSlotChurn) {
+  const Workload w = JoinWorkload();
+  const std::string expected = RunInline(w);
+  EXPECT_FALSE(expected.empty());
+
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    ScheduleExplorer explorer(seed, ExplorerOptions());
+    auto common = explorer.Explore(
+        w.queries.size(), [&](const ScheduleExplorer::Schedule& schedule) {
+          const size_t shards = 2 + schedule.trial_seed % 3;  // 2..4.
+          const std::string got = RunShardedWithCrashes(
+              w, shards, schedule.trial_seed + 1, schedule.order,
+              schedule.quantum, /*churn=*/true);
           EXPECT_EQ(got, expected)
               << "seed " << seed << ", shards " << shards << ", "
               << ScheduleExplorer::Describe(schedule);

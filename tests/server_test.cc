@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ingress/sources.h"
+#include "telemetry/metrics.h"
 
 namespace tcq {
 namespace {
@@ -325,6 +326,161 @@ TEST_F(ServerTest, OutputSchemaReflectsSelectList) {
   EXPECT_EQ((*schema)->field(0).name, "px");
   EXPECT_EQ((*schema)->field(0).type, ValueType::kDouble);
 }
+
+// ---- Query lifecycle: public ids vs engine slots. --------------------------
+
+TEST_F(ServerTest, PublicIdsNeverRepeatAndCancelledIdsAreNotFound) {
+  const std::string filter =
+      "SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 0";
+  const std::string windowed =
+      "SELECT AVG(closingPrice) FROM ClosingStockPrices "
+      "for (t = ST; t < ST + 100; t++) { WindowIs(ClosingStockPrices, t, t); }";
+  std::vector<QueryId> live;
+  QueryId last = 0;
+  bool first = true;
+  // Churn both query paths with a small live set: engine slots are reused,
+  // public ids keep climbing.
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    auto q = server_.Submit(cycle % 3 == 0 ? windowed : filter);
+    ASSERT_TRUE(q.ok()) << q.status();
+    if (!first) EXPECT_GT(*q, last);
+    first = false;
+    last = *q;
+    live.push_back(*q);
+    if (live.size() > 4) {
+      const QueryId gone = live.front();
+      live.erase(live.begin());
+      ASSERT_TRUE(server_.Cancel(gone).ok());
+      EXPECT_EQ(server_.Cancel(gone).code(), StatusCode::kNotFound);
+      EXPECT_EQ(server_.SetCallback(gone, [](const ResultSet&) {}).code(),
+                StatusCode::kNotFound);
+      EXPECT_FALSE(server_.Poll(gone).has_value());
+      EXPECT_TRUE(server_.PollAll(gone).empty());
+      // Only the output schema outlives the query.
+      EXPECT_TRUE(server_.OutputSchema(gone).ok());
+    }
+  }
+  EXPECT_EQ(server_.num_active_queries(), live.size());
+  EXPECT_EQ(server_.Cancel(last + 1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(server_.OutputSchema(last + 1).status().code(),
+            StatusCode::kNotFound);
+
+  // Live queries still answer; the cancelled ones got nothing more.
+  FeedMsft(&server_, 3);
+  size_t delivering = 0;
+  for (QueryId q : live) {
+    if (!server_.PollAll(q).empty()) ++delivering;
+  }
+  EXPECT_EQ(delivering, live.size());
+  const std::string snapshot = server_.SnapshotMetrics();
+  EXPECT_EQ(snapshot.find("\"" + std::to_string(live.front() - 1) + "\":{"),
+            std::string::npos)
+      << "cancelled queries must not appear in the snapshot";
+#ifndef TCQ_METRICS_DISABLED
+  EXPECT_NE(snapshot.find("\"tcq.server.cancelled_queries\""),
+            std::string::npos);
+#endif
+}
+
+TEST_F(ServerTest, CancelledWindowedQueryIsNoLongerAdvanced) {
+  auto q = server_.Submit(
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "for (t = ST; t < ST + 100; t++) { WindowIs(ClosingStockPrices, t, t); }");
+  ASSERT_TRUE(q.ok()) << q.status();
+  FeedMsft(&server_, 3);  // Windows [1,1] and [2,2] fire.
+  EXPECT_EQ(server_.PollAll(*q).size(), 2u);
+  ASSERT_TRUE(server_.Cancel(*q).ok());
+  ASSERT_TRUE(
+      server_.Push("ClosingStockPrices", Stock(4, "MSFT", 44)).ok());
+  EXPECT_TRUE(server_.PollAll(*q).empty());
+}
+
+// ---- Bad input becomes a Status, never a hang or a throw. -----------------
+
+TEST_F(ServerTest, ForLoopThatNeverAdvancesIsRejectedAndPushReturns) {
+  const char* const kStuck[] = {
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "for (t = ST; true; t += 0) { WindowIs(ClosingStockPrices, t, t); }",
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "for (t = ST; true; t -= 1) { WindowIs(ClosingStockPrices, t, t); }",
+      // The loop variable never moves: the same window fires forever.
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "for (t = ST; t > 0; t += 0) { WindowIs(ClosingStockPrices, t, t); }",
+      // Walks backwards with a condition that never ends the loop.
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "for (t = ST; t <= ST; t -= 1) { WindowIs(ClosingStockPrices, t, t); }",
+      // The loop runs forever but the window never moves forward.
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "for (t = ST; t > 0; t++) { WindowIs(ClosingStockPrices, 1, 2); }",
+  };
+  for (const char* sql : kStuck) {
+    auto q = server_.Submit(sql);
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  // Bounded reverse and forward loops stay legal.
+  auto reverse = server_.Submit(
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "for (t = ST + 4; t >= ST; t -= 2) { WindowIs(ClosingStockPrices, t, t); "
+      "}");
+  EXPECT_TRUE(reverse.ok()) << reverse.status();
+  auto standing = server_.Submit(
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "for (t = ST; t > 0; t++) { WindowIs(ClosingStockPrices, 1, t); }");
+  EXPECT_TRUE(standing.ok()) << standing.status();
+  // Before the fix, the first query was accepted and this push fired its
+  // window forever while holding the server lock.
+  std::vector<Tuple> batch;
+  for (int64_t d = 1; d <= 8; ++d) batch.push_back(Stock(d, "MSFT", 40.0 + d));
+  EXPECT_TRUE(server_.PushBatch("ClosingStockPrices", std::move(batch)).ok());
+  EXPECT_EQ(server_.PollAll(*standing).size(), 7u);
+}
+
+TEST_F(ServerTest, SumOrAvgOverNonNumericColumnIsRejectedAtSubmit) {
+  for (const char* agg : {"AVG", "SUM"}) {
+    auto q = server_.Submit(
+        std::string("SELECT ") + agg +
+        "(stockSymbol) FROM ClosingStockPrices "
+        "for (t = ST; t < ST + 10; t++) { WindowIs(ClosingStockPrices, t, t); "
+        "}");
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << agg;
+  }
+  // MIN/MAX/COUNT over strings stay legal, and ingest is unaffected.
+  auto q = server_.Submit(
+      "SELECT MAX(stockSymbol), COUNT(stockSymbol) FROM ClosingStockPrices "
+      "for (t = ST; t < ST + 10; t++) { WindowIs(ClosingStockPrices, t, t); }");
+  ASSERT_TRUE(q.ok()) << q.status();
+  std::vector<Tuple> batch;
+  for (int64_t d = 1; d <= 3; ++d) batch.push_back(Stock(d, "MSFT", 40.0 + d));
+  EXPECT_TRUE(server_.PushBatch("ClosingStockPrices", std::move(batch)).ok());
+  EXPECT_EQ(server_.PollAll(*q).size(), 2u);
+}
+
+#ifndef TCQ_METRICS_DISABLED
+TEST_F(ServerTest, WindowedEquiJoinCountsStemMatches) {
+  ASSERT_TRUE(server_
+                  .DefineStream("OtherPrices", StockSchema(),
+                                /*timestamp_field=*/0)
+                  .ok());
+  auto q = server_.Submit(
+      "SELECT a.closingPrice, b.closingPrice "
+      "FROM ClosingStockPrices AS a, OtherPrices AS b "
+      "WHERE a.stockSymbol = b.stockSymbol "
+      "for (t = ST; t < ST + 10; t++) { WindowIs(a, t - 2, t); "
+      "WindowIs(b, t - 2, t); }");
+  ASSERT_TRUE(q.ok()) << q.status();
+  Counter* matches = MetricRegistry::Global().GetCounter("tcq.stem.matches");
+  const uint64_t before = matches->value();
+  for (int64_t d = 1; d <= 6; ++d) {
+    ASSERT_TRUE(
+        server_.Push("ClosingStockPrices", Stock(d, "MSFT", 40.0 + d)).ok());
+    ASSERT_TRUE(server_.Push("OtherPrices", Stock(d, "MSFT", 10.0 + d)).ok());
+  }
+  size_t rows = 0;
+  for (const ResultSet& rs : server_.PollAll(*q)) rows += rs.rows.size();
+  ASSERT_GT(rows, 0u);
+  EXPECT_GT(matches->value() - before, 0u);
+}
+#endif  // TCQ_METRICS_DISABLED
 
 }  // namespace
 }  // namespace tcq

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,6 +109,93 @@ TEST(StressShardedTest, ConcurrentProducersAgainstControlTraffic) {
   // Stop after a full drain is idempotent and loses nothing.
   engine.Stop();
   EXPECT_EQ(all_hits.load(), total);
+}
+
+// Query churn on reused engine slots: a removed query's slot returns to
+// the free pool only after the egress thread has passed the removal's
+// marker on every shard, so a query that reuses the slot never receives
+// the old query's rows. Each churn query accepts one tag, consecutive ones
+// differ, and the slow sink keeps emissions queued across removals — a
+// premature release would hand queued rows to the wrong tag.
+TEST(StressShardedTest, ReusedSlotsNeverReceiveTheOldQuerysRows) {
+  constexpr size_t kShards = 4;
+  constexpr size_t kProducers = 3;
+  constexpr size_t kBatches = 80;
+  constexpr size_t kBatchSize = 32;
+  constexpr int64_t kTags = 16;
+  constexpr int kRounds = 150;
+  constexpr size_t kLiveChurn = 3;
+
+  ShardedEngine::Options opts;
+  opts.num_shards = kShards;
+  opts.input_capacity = 16;
+  ShardedEngine engine(opts);
+  ASSERT_TRUE(engine.AddStream("S", KV(), 0).ok());
+  SlotOwnerLedger ledger(/*tag_column=*/1);
+  ShardedEngine::Sink count = ledger.MakeSink();
+  engine.SetSink([&count](std::vector<ShardedEngine::Emission>&& batch) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    count(std::move(batch));
+  });
+  engine.Start();
+
+  CacqQuerySpec see_all;
+  see_all.sources = {"S"};
+  auto all_q = engine.AddQuery(see_all);
+  ASSERT_TRUE(all_q.ok());
+  ledger.Own(*all_q, /*tag=*/-1);
+
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&engine, p] {
+      for (size_t b = 0; b < kBatches; ++b) {
+        std::vector<Tuple> batch;
+        batch.reserve(kBatchSize);
+        for (size_t i = 0; i < kBatchSize; ++i) {
+          const auto n = static_cast<int64_t>(b * kBatchSize + i);
+          batch.push_back(KVTuple(n % 23, (n + static_cast<int64_t>(p)) %
+                                              kTags,
+                                  n + 1));
+        }
+        ASSERT_TRUE(engine.PushBatch("S", std::move(batch)).ok());
+      }
+    });
+  }
+
+  QueryId max_slot = 0;
+  std::thread churner([&] {
+    std::deque<QueryId> live;
+    for (int round = 0; round < kRounds; ++round) {
+      const int64_t tag = round % kTags;
+      CacqQuerySpec spec;
+      spec.sources = {"S"};
+      spec.where = Expr::Binary(BinaryOp::kEq, Expr::Column("v"),
+                                Expr::Literal(Value::Int64(tag)));
+      auto cq = engine.AddQuery(spec);
+      ASSERT_TRUE(cq.ok());
+      ledger.Own(*cq, tag);
+      max_slot = std::max(max_slot, *cq);
+      live.push_back(*cq);
+      if (live.size() > kLiveChurn) {
+        ledger.Disown(live.front());
+        ASSERT_TRUE(engine.RemoveQuery(live.front()).ok());
+        live.pop_front();
+      }
+      if (round % 25 == 0) ASSERT_TRUE(engine.Quiesce().ok());
+    }
+  });
+
+  for (auto& t : producers) t.join();
+  churner.join();
+  ASSERT_TRUE(engine.Quiesce().ok());
+
+  const uint64_t total = kProducers * kBatches * kBatchSize;
+  EXPECT_EQ(ledger.cross_deliveries(), 0u);
+  EXPECT_EQ(ledger.hits(*all_q), total);
+  ExpectExchangeConservation(engine, total);
+  // Slots were reused: far fewer than one per churn round.
+  EXPECT_LT(max_slot, static_cast<QueryId>(kRounds / 2));
+  engine.Stop();
 }
 
 TEST(StressShardedTest, ServerShardedUnderConcurrentClients) {
