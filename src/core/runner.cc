@@ -52,6 +52,7 @@ QueryRunner::QueryRunner(AnalyzedQuery analyzed,
       landmark_clause_ = 0;
       landmark_agg_ = std::make_unique<WindowAggregator>(
           analyzed_.aggregates, analyzed_.group_by, /*retain_tuples=*/false);
+      landmark_version_ = archives_[0]->history_version();
     }
   }
 }
@@ -160,6 +161,15 @@ ResultSet QueryRunner::ExecuteWindow(const WindowSequence::Step& step) {
     // Incremental: only the newly exposed suffix of the window is fed.
     const WindowBounds& b =
         step.bounds[static_cast<size_t>(landmark_clause_)];
+    const uint64_t version = archives_[0]->history_version();
+    if (version != landmark_version_) {
+      // A retraction or kIngestLate backfill may have changed history the
+      // accumulators already hold: rebuild them from the archive.
+      landmark_agg_ = std::make_unique<WindowAggregator>(
+          analyzed_.aggregates, analyzed_.group_by, /*retain_tuples=*/false);
+      landmark_fed_through_ = kMinTimestamp;
+      landmark_version_ = version;
+    }
     const Timestamp from =
         std::max(b.left, landmark_fed_through_ == kMinTimestamp
                              ? b.left

@@ -43,8 +43,10 @@ enum class Consistency : uint8_t {
 /// SteM builds/probes for every join edge, filter operators for every
 /// predicate — followed by projection or windowed aggregation.
 ///
-/// Landmark aggregates take the incremental O(1)-state path (§4.1.2);
-/// other shapes re-evaluate the window, which is always correct.
+/// Landmark aggregates take the incremental O(1)-state path (§4.1.2),
+/// rebuilt from the archive when a retraction or late insert has changed
+/// history they already consumed; other shapes re-evaluate the window,
+/// which is always correct.
 class QueryRunner {
  public:
   struct Options {
@@ -112,6 +114,9 @@ class QueryRunner {
   /// Incremental landmark-aggregate state (§4.1.2 fast path).
   std::unique_ptr<WindowAggregator> landmark_agg_;
   Timestamp landmark_fed_through_ = kMinTimestamp;
+  /// Archive history_version() the accumulators were built against: a
+  /// retraction or backfill since then rebuilds them from the archive.
+  uint64_t landmark_version_ = 0;
   bool use_landmark_path_ = false;
   int landmark_clause_ = -1;
 

@@ -93,6 +93,9 @@ ExprPtr StripQualifiers(const ExprPtr& e) {
   return e;
 }
 
+/// Emission-buffer capacity DeliverEmissions keeps between batches.
+constexpr size_t kMaxRetainedEmissions = 4096;
+
 }  // namespace
 
 Server::Server() : Server(Options()) {}
@@ -285,10 +288,9 @@ Result<QueryId> Server::Submit(const std::string& sql,
       // The sink runs on the egress thread; it captures the StreamState
       // node (map nodes are address-stable) and takes results_mu_ only.
       StreamState* node = &ss;
-      sharded->SetSink(
-          [this, node](std::vector<ShardedEngine::Emission>&& batch) {
-            DeliverShardEmissions(node, std::move(batch));
-          });
+      sharded->SetSink([this, node](std::vector<Emission>&& batch) {
+        DeliverEmissions(node, batch);
+      });
       sharded->Start();
       ss.sharded = std::move(sharded);
     }
@@ -313,14 +315,11 @@ Result<QueryId> Server::Submit(const std::string& sql,
       ss.cacq = std::make_unique<CacqEngine>(std::move(copts));
       auto added = ss.cacq->AddStream(stream, ss.def.schema);
       TCQ_CHECK(added.ok()) << added.status();
+      // Emissions only queue here; InjectCacqLocked delivers them in one
+      // batch through the egress the sharded engine uses.
       StreamState* node = &ss;
-      ss.cacq->SetSink([this, node](QueryId engine_q, const Tuple& t) {
-        // mu_ is held by Push when this fires.
-        QueryState* owner = node->cacq_owner[engine_q];
-        if (owner == nullptr) return;
-        std::vector<ResultSet> sets;
-        sets.push_back(ProjectCacqRow(*owner, t));
-        DeliverResults(owner, std::move(sets));
+      ss.cacq->SetSink([node](QueryId engine_q, const Tuple& t) {
+        node->cacq_pending.emplace_back(engine_q, t);
       });
     }
     CacqQuerySpec spec;
@@ -414,18 +413,13 @@ Timestamp Server::FootprintWatermark(const QueryState& qs) const {
   return hwm;
 }
 
-ResultSet Server::ProjectCacqRow(const QueryState& owner, const Tuple& t) {
-  std::vector<Value> cells;
-  cells.reserve(owner.analyzed.projections.size());
-  for (const ExprPtr& e : owner.analyzed.projections) {
-    cells.push_back(e->Eval(t));
-  }
-  ResultSet rs;
-  rs.t = t.timestamp();
-  Tuple row = Tuple::Make(std::move(cells), t.timestamp());
+Tuple Server::ProjectCacqRow(const QueryState& owner, const Tuple& t) {
+  const std::vector<ExprPtr>& proj = owner.analyzed.projections;
+  Tuple row = Tuple::Build(proj.size(), t.timestamp(), [&](Value* cells) {
+    for (size_t i = 0; i < proj.size(); ++i) cells[i] = proj[i]->Eval(t);
+  });
   row.set_retraction(t.retraction());
-  rs.rows.push_back(std::move(row));
-  return rs;
+  return row;
 }
 
 Status Server::SetCallback(QueryId q, Callback cb) {
@@ -550,17 +544,8 @@ Status Server::ApplyReleasedLocked(const std::string& stream,
   }
   // Delayed-lane injection: standing delayed queries consume the released
   // (timestamp-ordered) feed, never raw arrivals.
-  if (ss.sharded != nullptr) {
-    if (ss.cacq_delayed > 0) {
-      TCQ_RETURN_NOT_OK(ss.sharded->PushBatch(stream, std::move(released),
-                                              IngressLane::kDelayed));
-    }
-  } else if (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0 &&
-             ss.cacq_delayed > 0) {
-    TCQ_RETURN_NOT_OK(
-        ss.cacq->InjectBatch(stream, released, IngressLane::kDelayed));
-  }
-  return Status::OK();
+  return InjectCacqLocked(stream, &ss, std::move(released),
+                          IngressLane::kDelayed);
 }
 
 Status Server::PushLocked(const std::string& stream, const Tuple& tuple) {
@@ -599,11 +584,7 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   // The raw (arrival-order) lane is only materialized when someone
   // listens to it: with no speculative CACQ queries the per-tuple copy
   // into `raw` is pure overhead on the hot ingest path.
-  const bool want_spec =
-      (ss.sharded != nullptr)
-          ? ss.cacq_speculative > 0
-          : (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0 &&
-             ss.cacq_speculative > 0);
+  const bool want_spec = ss.cacq_speculative > 0;
   std::vector<Tuple> raw;
   if (want_spec) raw.reserve(batch.size());
   size_t accepted = 0;
@@ -703,15 +684,8 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   if (accepted > 0) {
     AdvanceQueriesLocked(ss);
     // Speculative-lane injection: raw arrivals, in arrival order.
-    if (want_spec && !raw.empty()) {
-      if (ss.sharded != nullptr) {
-        TCQ_RETURN_NOT_OK(ss.sharded->PushBatch(
-            stream, std::move(raw), IngressLane::kSpeculative));
-      } else {
-        TCQ_RETURN_NOT_OK(
-            ss.cacq->InjectBatch(stream, raw, IngressLane::kSpeculative));
-      }
-    }
+    TCQ_RETURN_NOT_OK(InjectCacqLocked(stream, &ss, std::move(raw),
+                                       IngressLane::kSpeculative));
   }
   if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(ss, revise_ts);
   return first_error;
@@ -831,13 +805,7 @@ Status Server::Retract(const std::string& stream, const Tuple& tuple) {
   TCQ_METRIC(ServerMetrics::Get().dis_retractions->Add(1));
   // Both CACQ lanes saw the assertion, so the signed tuple flows to all
   // standing queries (kAll); it cancels SteM state and emits signed rows.
-  if (ss.sharded != nullptr) {
-    if (ss.cacq_live() > 0) {
-      TCQ_RETURN_NOT_OK(ss.sharded->Push(stream, r));
-    }
-  } else if (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0) {
-    TCQ_RETURN_NOT_OK(ss.cacq->Inject(stream, r));
-  }
+  TCQ_RETURN_NOT_OK(InjectCacqLocked(stream, &ss, {r}, IngressLane::kAll));
   // Fired speculative windows covering the timestamp must be revised;
   // delayed windows that already fired keep the stale row (documented).
   ReviseQueriesLocked(ss, r.timestamp());
@@ -905,15 +873,8 @@ Status Server::ReplayStream(const std::string& stream, Timestamp from_ts) {
     if (!chunk.empty()) {
       max_ts = std::max(max_ts, chunk.back().timestamp());
       replayed += chunk.size();
-      if (ss.sharded != nullptr) {
-        if (ss.cacq_live() > 0) {
-          TCQ_RETURN_NOT_OK(ss.sharded->PushBatch(stream, std::move(chunk),
-                                                  IngressLane::kAll));
-        }
-      } else if (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0) {
-        TCQ_RETURN_NOT_OK(
-            ss.cacq->InjectBatch(stream, chunk, IngressLane::kAll));
-      }
+      TCQ_RETURN_NOT_OK(
+          InjectCacqLocked(stream, &ss, std::move(chunk), IngressLane::kAll));
     }
     if (next == kMaxTimestamp) break;
     lo = next;
@@ -947,24 +908,48 @@ void Server::DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets) {
   }
 }
 
-void Server::DeliverShardEmissions(
-    StreamState* ss, std::vector<ShardedEngine::Emission>&& batch) {
-  // Egress thread: results_mu_ only. mu_ may be held by a producer
-  // blocked on a full exchange queue — taking it here would deadlock.
-  std::lock_guard<std::mutex> rlock(results_mu_);
-  for (auto& [engine_q, t] : batch) {
-    QueryState* owner =
-        engine_q < ss->cacq_owner.size() ? ss->cacq_owner[engine_q] : nullptr;
-    if (owner == nullptr) continue;  // Canceled mid-flight.
-    ResultSet rs = ProjectCacqRow(*owner, t);
-    owner->rows_delivered += 1;
-    TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(1));
-    if (owner->callback) {
-      owner->callback(rs);
-    } else {
-      owner->results.push_back(std::move(rs));
+Status Server::InjectCacqLocked(const std::string& stream, StreamState* ss,
+                                std::vector<Tuple> batch, IngressLane lane) {
+  const size_t listeners = lane == IngressLane::kDelayed ? ss->cacq_delayed
+                           : lane == IngressLane::kSpeculative
+                               ? ss->cacq_speculative
+                               : ss->cacq_live();
+  if (listeners == 0 || batch.empty()) return Status::OK();
+  if (ss->sharded != nullptr) {
+    return ss->sharded->PushBatch(stream, std::move(batch), lane);
+  }
+  const Status st = ss->cacq->InjectBatch(stream, batch, lane);
+  // Deliver even when the injection failed part-way, so no row it
+  // emitted first is left waiting in the buffer.
+  if (!ss->cacq_pending.empty()) DeliverEmissions(ss, ss->cacq_pending);
+  return st;
+}
+
+void Server::DeliverEmissions(StreamState* ss, std::vector<Emission>& batch) {
+  {
+    std::lock_guard<std::mutex> rlock(results_mu_);
+    ResultSet rs;  // Reused for every row a callback consumes.
+    for (const auto& [engine_q, t] : batch) {
+      QueryState* owner = engine_q < ss->cacq_owner.size()
+                              ? ss->cacq_owner[engine_q]
+                              : nullptr;
+      if (owner == nullptr) continue;  // Canceled mid-flight.
+      rs.t = t.timestamp();
+      rs.rows.clear();
+      rs.rows.push_back(ProjectCacqRow(*owner, t));
+      ++owner->rows_delivered;
+      TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(1));
+      if (owner->callback) {
+        owner->callback(rs);
+      } else {
+        owner->results.push_back(std::move(rs));
+      }
     }
   }
+  batch.clear();  // Keeps the capacity for the next batch...
+  // ...unless a rare huge injection (a replay chunk over many queries)
+  // grew it: the inline buffer lives as long as the stream.
+  if (batch.capacity() > kMaxRetainedEmissions) batch.shrink_to_fit();
 }
 
 std::optional<ResultSet> Server::Poll(QueryId q) {

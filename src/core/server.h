@@ -262,6 +262,8 @@ class Server {
 
  private:
   struct StreamState;
+  /// (engine slot, full-width result tuple): what a CACQ engine emits.
+  using Emission = ShardedEngine::Emission;
 
   /// A live query. Cancel destroys it; only the output schema outlives it
   /// (output_schemas_).
@@ -315,6 +317,9 @@ class Server {
     /// Exchange hash column when cacq_shards > 1 (resolved at definition).
     size_t partition_column = 0;
     std::unique_ptr<CacqEngine> cacq;  ///< Lazy inline eddy (1 shard).
+    /// Inline engine emissions of the injection in progress, drained by
+    /// DeliverEmissions after it (capacity reused across injections).
+    std::vector<Emission> cacq_pending;
     std::unique_ptr<ShardedEngine> sharded;  ///< Lazy shard fleet (N > 1).
     /// Engine slot -> live owning query (null = free slot, or a cancelled
     /// query whose in-flight emissions are dropped). Engine slots are
@@ -336,12 +341,20 @@ class Server {
   /// footprint (safe marks when delayed, raw marks when speculative).
   Timestamp FootprintWatermark(const QueryState& qs) const;
   /// Projects a full-width CACQ result tuple per the owner's select list.
-  static ResultSet ProjectCacqRow(const QueryState& owner, const Tuple& t);
+  static Tuple ProjectCacqRow(const QueryState& owner, const Tuple& t);
   void DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets);
-  /// Egress-thread delivery for one sharded stream's emission batch.
-  /// Takes results_mu_ only — never mu_ (the producer may hold it).
-  void DeliverShardEmissions(StreamState* ss,
-                             std::vector<ShardedEngine::Emission>&& batch);
+  /// Feeds `batch` to the standing CACQ queries of `lane` on `ss`, if it
+  /// has any: scatters it to the shard fleet, or injects it into the
+  /// inline engine and delivers what that emitted before returning (also
+  /// when the injection fails part-way).
+  Status InjectCacqLocked(const std::string& stream, StreamState* ss,
+                          std::vector<Tuple> batch, IngressLane lane);
+  /// The one CACQ egress, for both engines: one ResultSet per emission,
+  /// in batch order, to its owner's callback or Poll queue; emissions of
+  /// cancelled queries are dropped. Clears `batch`. Takes results_mu_
+  /// only, never mu_: the sharded egress thread calls it while a producer
+  /// blocked on a full exchange queue may hold mu_.
+  void DeliverEmissions(StreamState* ss, std::vector<Emission>& batch);
   Status PushLocked(const std::string& stream, const Tuple& tuple);
   /// Validates `tuple` against `ss` and stamps its engine timestamp
   /// (declared column or arrival order). Watermark logic lives in

@@ -41,6 +41,9 @@ Tuple SourceLayout::Widen(size_t source, const Tuple& narrow) const {
   TCQ_DCHECK(source < num_sources());
   TCQ_DCHECK(narrow.arity() == arity(source))
       << "source " << aliases_[source] << " arity mismatch";
+  // One source: the wide layout is the narrow one, so share the immutable
+  // cell block. A copy carries the per-object timestamp, seq and sign.
+  if (num_sources() == 1) return narrow;
   const size_t base = offsets_[source];
   Tuple wide =
       Tuple::Build(total_arity_, narrow.timestamp(), [&](Value* cells) {

@@ -183,8 +183,9 @@ TupleVector Archive::Scan(Timestamp lo, Timestamp hi) const {
 }
 
 void Archive::InsertOrdered(const Tuple& t) {
+  if (hook_ && t.timestamp() < hook_->floor) return;  // Expired straggler.
+  ++history_version_;
   if (hook_) {
-    if (t.timestamp() < hook_->floor) return;  // Expired straggler.
     // A straggler older than every resident tuple belongs in the spool's
     // late run, which stitches it to the exact upper-bound position the
     // unsplit deque would have used (every tuple with ts <= its own is
@@ -223,6 +224,7 @@ bool Archive::CancelMatching(const Tuple& t) {
     --it;
     if (it->PayloadEquals(t)) {
       tuples_.erase(it);
+      ++history_version_;
       return true;
     }
   }
@@ -236,6 +238,7 @@ bool Archive::CancelMatching(const Tuple& t) {
                               << cancelled.status();
     if (*cancelled) {
       --hook_->spooled;
+      ++history_version_;
       return true;
     }
   }

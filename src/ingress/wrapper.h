@@ -150,6 +150,12 @@ class Archive {
   /// evicted, or already cancelled).
   bool CancelMatching(const Tuple& t);
 
+  /// Bumped by every InsertOrdered and every successful CancelMatching:
+  /// the changes that can rewrite history below the newest timestamp.
+  /// Incremental readers (the landmark accumulators) compare it to detect
+  /// that history they already consumed has changed.
+  uint64_t history_version() const { return history_version_; }
+
   /// All retained tuples with timestamp in [lo, hi], in order.
   TupleVector Scan(Timestamp lo, Timestamp hi) const;
 
@@ -224,6 +230,7 @@ class Archive {
   Timestamp retention_span_;
   std::deque<Tuple> tuples_;  ///< Timestamp-ordered (enforced on Append).
   Timestamp max_ts_ = kMinTimestamp;
+  uint64_t history_version_ = 0;
   std::unique_ptr<SpoolHook> hook_;
 };
 

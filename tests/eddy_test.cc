@@ -37,6 +37,51 @@ struct SingleSourceFixture {
   }
 };
 
+TEST(SourceLayoutTest, SingleSourceWidenSharesTheCellBlock) {
+  SingleSourceFixture fx;
+  Tuple narrow = KVTuple(3, 4, /*ts=*/17);
+  narrow.set_seq(9);
+  narrow.set_retraction(true);
+  const Tuple wide = fx.layout.Widen(fx.s, narrow);
+  EXPECT_EQ(wide.cells().data(), narrow.cells().data());
+  EXPECT_EQ(wide.arity(), 2u);
+  EXPECT_EQ(wide.timestamp(), 17);
+  EXPECT_EQ(wide.seq(), 9);
+  EXPECT_TRUE(wide.retraction());
+}
+
+TEST(SourceLayoutTest, SeqOnTheWideCopyLeavesTheNarrowTupleAlone) {
+  SingleSourceFixture fx;
+  Tuple narrow = KVTuple(3, 4, /*ts=*/17);
+  narrow.set_seq(9);
+  Tuple wide = fx.layout.Widen(fx.s, narrow);
+  wide.set_seq(42);
+  wide.set_timestamp(99);
+  wide.set_retraction(true);
+  EXPECT_EQ(narrow.seq(), 9);
+  EXPECT_EQ(narrow.timestamp(), 17);
+  EXPECT_FALSE(narrow.retraction());
+  EXPECT_EQ(wide.cells().data(), narrow.cells().data());
+}
+
+TEST(SourceLayoutTest, MultiSourceWidenBuildsAFreshNullPaddedBlock) {
+  SourceLayout layout;
+  const size_t a = layout.AddSource("a", KV());
+  const size_t b = layout.AddSource("b", KV());
+  Tuple narrow = KVTuple(5, 6, /*ts=*/8);
+  narrow.set_seq(3);
+  const Tuple wide = layout.Widen(b, narrow);
+  EXPECT_NE(wide.cells().data(), narrow.cells().data());
+  ASSERT_EQ(wide.arity(), 4u);
+  EXPECT_TRUE(wide.cell(layout.offset(a)).is_null());
+  EXPECT_TRUE(wide.cell(layout.offset(a) + 1).is_null());
+  EXPECT_EQ(wide.cell(layout.offset(b)).int64_value(), 5);
+  EXPECT_EQ(wide.cell(layout.offset(b) + 1).int64_value(), 6);
+  EXPECT_EQ(wide.timestamp(), 8);
+  EXPECT_EQ(wide.seq(), 3);
+  EXPECT_FALSE(wide.retraction());
+}
+
 TEST(EddyTest, SingleFilterPassesAndDrops) {
   SingleSourceFixture fx;
   Eddy eddy(&fx.layout, std::make_unique<FixedPolicy>(std::vector<size_t>{}));

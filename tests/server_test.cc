@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "ingress/sources.h"
 #include "telemetry/metrics.h"
 
@@ -325,6 +328,198 @@ TEST_F(ServerTest, OutputSchemaReflectsSelectList) {
   ASSERT_TRUE(schema.ok());
   EXPECT_EQ((*schema)->field(0).name, "px");
   EXPECT_EQ((*schema)->field(0).type, ValueType::kDouble);
+}
+
+// ---- CACQ egress: one delivery path for the inline engine. ---------------
+
+/// One day of `n` symbols sharing timestamp `day`; symbol i closes at i.
+std::vector<Tuple> OneDay(int64_t day, int n) {
+  std::vector<Tuple> batch;
+  for (int i = 0; i < n; ++i) {
+    batch.push_back(Stock(day, "S" + std::to_string(i), static_cast<double>(i)));
+  }
+  return batch;
+}
+
+TEST_F(ServerTest, OneDayBatchYieldsOneResultSetPerRowInPerQueryOrder) {
+  auto all = server_.Submit(
+      "SELECT stockSymbol, closingPrice FROM ClosingStockPrices "
+      "WHERE closingPrice >= 0");
+  auto upper = server_.Submit(
+      "SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 47");
+  auto one = server_.Submit(
+      "SELECT stockSymbol FROM ClosingStockPrices WHERE stockSymbol = 'S9'");
+  ASSERT_TRUE(all.ok() && upper.ok() && one.ok());
+  ASSERT_TRUE(server_.PushBatch("ClosingStockPrices", OneDay(3, 64)).ok());
+
+  const auto all_sets = server_.PollAll(*all);
+  ASSERT_EQ(all_sets.size(), 64u);
+  for (size_t i = 0; i < all_sets.size(); ++i) {
+    EXPECT_EQ(all_sets[i].t, 3);
+    ASSERT_EQ(all_sets[i].rows.size(), 1u);
+    EXPECT_EQ(all_sets[i].rows[0].cell(0).string_value(),
+              "S" + std::to_string(i));
+    EXPECT_EQ(all_sets[i].rows[0].timestamp(), 3);
+  }
+  const auto upper_sets = server_.PollAll(*upper);
+  ASSERT_EQ(upper_sets.size(), 16u);  // Prices 48..63, in input order.
+  for (size_t i = 0; i < upper_sets.size(); ++i) {
+    ASSERT_EQ(upper_sets[i].rows.size(), 1u);
+    EXPECT_DOUBLE_EQ(upper_sets[i].rows[0].cell(0).double_value(),
+                     48.0 + static_cast<double>(i));
+  }
+  const auto one_sets = server_.PollAll(*one);
+  ASSERT_EQ(one_sets.size(), 1u);
+  EXPECT_EQ(one_sets[0].rows[0].cell(0).string_value(), "S9");
+}
+
+TEST_F(ServerTest, RetractDeliversItsCacqRowsBeforeReturning) {
+  auto q = server_.Submit(
+      "SELECT stockSymbol, closingPrice FROM ClosingStockPrices "
+      "WHERE closingPrice > 1");
+  ASSERT_TRUE(q.ok());
+  std::vector<Tuple> seen;
+  ASSERT_TRUE(server_
+                  .SetCallback(*q,
+                               [&](const ResultSet& rs) {
+                                 for (const Tuple& r : rs.rows) {
+                                   seen.push_back(r);
+                                 }
+                               })
+                  .ok());
+  ASSERT_TRUE(server_.PushBatch("ClosingStockPrices", OneDay(1, 4)).ok());
+  ASSERT_EQ(seen.size(), 2u);  // S2 and S3.
+  ASSERT_TRUE(server_.Retract("ClosingStockPrices", Stock(1, "S3", 3)).ok());
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_TRUE(seen.back().retraction());
+  EXPECT_EQ(seen.back().cell(0).string_value(), "S3");
+  EXPECT_EQ(seen.back().timestamp(), 1);
+}
+
+TEST_F(ServerTest, ReplayStreamDeliversItsCacqRowsBeforeReturning) {
+  for (int64_t d = 1; d <= 3; ++d) {
+    ASSERT_TRUE(server_.PushBatch("ClosingStockPrices", OneDay(d, 8)).ok());
+  }
+  auto q = server_.Submit(
+      "SELECT stockSymbol FROM ClosingStockPrices WHERE closingPrice > 5");
+  ASSERT_TRUE(q.ok());
+  EXPECT_TRUE(server_.PollAll(*q).empty());  // Registered after the data.
+  ASSERT_TRUE(server_.ReplayStream("ClosingStockPrices", 2).ok());
+  const auto sets = server_.PollAll(*q);
+  ASSERT_EQ(sets.size(), 4u);  // S6 and S7 on days 2 and 3.
+  EXPECT_EQ(sets[0].t, 2);
+  EXPECT_EQ(sets[0].rows[0].cell(0).string_value(), "S6");
+  EXPECT_EQ(sets[3].t, 3);
+  EXPECT_EQ(sets[3].rows[0].cell(0).string_value(), "S7");
+}
+
+TEST_F(ServerTest, QueryCancelledBetweenBatchesGetsNothingMore) {
+  const std::string sql =
+      "SELECT stockSymbol FROM ClosingStockPrices WHERE closingPrice < 10";
+  auto gone = server_.Submit(sql);
+  auto kept = server_.Submit(sql);
+  ASSERT_TRUE(gone.ok() && kept.ok());
+  size_t gone_rows = 0;
+  ASSERT_TRUE(server_
+                  .SetCallback(*gone,
+                               [&](const ResultSet& rs) {
+                                 gone_rows += rs.rows.size();
+                               })
+                  .ok());
+  ASSERT_TRUE(server_.PushBatch("ClosingStockPrices", OneDay(1, 64)).ok());
+  EXPECT_EQ(gone_rows, 10u);
+  ASSERT_TRUE(server_.Cancel(*gone).ok());
+  ASSERT_TRUE(server_.PushBatch("ClosingStockPrices", OneDay(2, 64)).ok());
+  EXPECT_EQ(gone_rows, 10u);
+  EXPECT_EQ(server_.PollAll(*kept).size(), 20u);
+}
+
+TEST_F(ServerTest, PollSeesTheSameRowsAsACallback) {
+  const std::string sql =
+      "SELECT closingPrice, stockSymbol FROM ClosingStockPrices "
+      "WHERE closingPrice > 20";
+  auto called = server_.Submit(sql);
+  auto polled = server_.Submit(sql);
+  ASSERT_TRUE(called.ok() && polled.ok());
+  std::vector<ResultSet> via_callback;
+  ASSERT_TRUE(server_
+                  .SetCallback(*called,
+                               [&](const ResultSet& rs) {
+                                 via_callback.push_back(rs);
+                               })
+                  .ok());
+  for (int64_t d = 1; d <= 3; ++d) {
+    ASSERT_TRUE(server_.PushBatch("ClosingStockPrices", OneDay(d, 32)).ok());
+  }
+  ASSERT_TRUE(server_.Retract("ClosingStockPrices", Stock(2, "S25", 25)).ok());
+  const auto via_poll = server_.PollAll(*polled);
+  ASSERT_EQ(via_poll.size(), via_callback.size());
+  ASSERT_EQ(via_poll.size(), 3u * 11u + 1u);
+  for (size_t i = 0; i < via_poll.size(); ++i) {
+    EXPECT_EQ(via_poll[i].t, via_callback[i].t);
+    EXPECT_EQ(via_poll[i].rows, via_callback[i].rows) << "set " << i;
+  }
+  EXPECT_TRUE(via_poll.back().rows[0].retraction());
+}
+
+// ---- Landmark aggregates after history changes (DESIGN.md §15). -----------
+
+/// Runs a landmark SUM beside the same window without the aggregate (the
+/// re-execution path, summed here) over days 1..8 at price 10 * day, with
+/// `change` applied after day 5. Returns {landmark, re-executed} sums of
+/// the windows t = 5, 6, 7.
+std::pair<std::vector<double>, std::vector<double>> LandmarkVsReexecution(
+    Server* server, const std::function<void()>& change) {
+  auto landmark = server->Submit(
+      "SELECT SUM(closingPrice) FROM ClosingStockPrices "
+      "for (t = 1; true; t++) { WindowIs(ClosingStockPrices, 1, t); }");
+  auto rows = server->Submit(
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "for (t = 1; true; t++) { WindowIs(ClosingStockPrices, 1, t); }");
+  EXPECT_TRUE(landmark.ok() && rows.ok());
+  auto push = [&](int64_t from, int64_t to) {
+    for (int64_t d = from; d <= to; ++d) {
+      EXPECT_TRUE(server->Push("ClosingStockPrices",
+                               Stock(d, "MSFT", 10.0 * static_cast<double>(d)))
+                      .ok());
+    }
+  };
+  push(1, 5);
+  change();
+  push(6, 8);
+  std::pair<std::vector<double>, std::vector<double>> out;
+  for (const ResultSet& rs : server->PollAll(*landmark)) {
+    if (rs.t >= 5) out.first.push_back(rs.rows.at(0).cell(0).double_value());
+  }
+  for (const ResultSet& rs : server->PollAll(*rows)) {
+    if (rs.t < 5) continue;
+    double sum = 0;
+    for (const Tuple& r : rs.rows) sum += r.cell(0).double_value();
+    out.second.push_back(sum);
+  }
+  return out;
+}
+
+TEST_F(ServerTest, LandmarkAggregateMatchesReexecutionAfterRetract) {
+  const auto [landmark, reexecuted] = LandmarkVsReexecution(&server_, [&] {
+    ASSERT_TRUE(
+        server_.Retract("ClosingStockPrices", Stock(2, "MSFT", 20)).ok());
+  });
+  EXPECT_EQ(reexecuted, (std::vector<double>{130, 190, 260}));
+  EXPECT_EQ(landmark, reexecuted);
+}
+
+TEST_F(ServerTest, LandmarkAggregateMatchesReexecutionAfterLateBackfill) {
+  ASSERT_TRUE(server_
+                  .SetDisorderBound("ClosingStockPrices", 0,
+                                    LatePolicy::kIngestLate)
+                  .ok());
+  const auto [landmark, reexecuted] = LandmarkVsReexecution(&server_, [&] {
+    ASSERT_TRUE(
+        server_.Push("ClosingStockPrices", Stock(2, "MSFT", 1000)).ok());
+  });
+  EXPECT_EQ(reexecuted, (std::vector<double>{1150, 1210, 1280}));
+  EXPECT_EQ(landmark, reexecuted);
 }
 
 // ---- Query lifecycle: public ids vs engine slots. --------------------------
