@@ -75,19 +75,15 @@ void RunJoin(benchmark::State& state, Plan plan, double skew) {
         "T_idx", KV(), 0, MakeTRows(),
         RemoteIndex::Options{kRemoteCost, std::chrono::microseconds(0)});
 
-    SteM::Options so;
-    so.key_field = static_cast<int>(fx.layout.offset(fx.t));
-    auto stem_t =
-        std::make_shared<SteM>("SteM_T", fx.layout.full_schema(), so);
-    SteM::Options ss;
-    ss.key_field = static_cast<int>(fx.layout.offset(fx.s));
-    auto stem_s =
-        std::make_shared<SteM>("SteM_S", fx.layout.full_schema(), ss);
-    auto cache =
-        std::make_shared<SteM>("T_cache", fx.layout.full_schema(), so);
-
     const int s_key = static_cast<int>(fx.layout.offset(fx.s));
     const int t_key = static_cast<int>(fx.layout.offset(fx.t));
+    auto stem_t =
+        std::make_shared<SteM>("SteM_T", fx.layout.full_schema(), t_key);
+    auto stem_s =
+        std::make_shared<SteM>("SteM_S", fx.layout.full_schema(), s_key);
+    auto cache =
+        std::make_shared<SteM>("T_cache", fx.layout.full_schema(), t_key);
+
     const bool use_stems = plan == Plan::kSymHash || plan == Plan::kHybrid;
     if (use_stems) {
       eddy.AddOperator(

@@ -73,11 +73,11 @@ std::shared_ptr<ResidualFilterOp> CacqEngine::ResidualOpFor(
 
 Status CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
                               int col_b) {
-  auto ensure_stem = [&](size_t src, int key) -> SharedSteMPtr {
+  auto ensure_stem = [&](size_t src, int key) -> SteMPtr {
     JoinKey jk{src, key};
     auto it = stems_.find(jk);
     if (it != stems_.end()) return it->second;
-    auto stem = std::make_shared<SharedSteM>(
+    auto stem = std::make_shared<SteM>(
         "stem[" + layout_.alias(src) + "]", layout_.full_schema(), key);
     if (options_.spool != nullptr) {
       stem->SetSpool(options_.spool,
@@ -85,14 +85,14 @@ Status CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
                          "." + std::to_string(key));
     }
     stems_.emplace(jk, stem);
-    eddy_->AddOperator(std::make_shared<SharedStemBuildOp>(
+    eddy_->AddOperator(std::make_shared<StemBuildOp>(
         "build[" + layout_.alias(src) + "]", src, stem));
     return stem;
   };
-  SharedSteMPtr stem_a = ensure_stem(src_a, col_a);
-  SharedSteMPtr stem_b = ensure_stem(src_b, col_b);
+  SteMPtr stem_a = ensure_stem(src_a, col_a);
+  SteMPtr stem_b = ensure_stem(src_b, col_b);
 
-  auto ensure_probe = [&](size_t target, const SharedSteMPtr& stem,
+  auto ensure_probe = [&](size_t target, const SteMPtr& stem,
                           int stored_key, size_t probe_src, int probe_key) {
     const auto edge = std::make_tuple(target, stored_key, probe_key);
     if (probe_edges_.count(edge) != 0) return;
@@ -100,7 +100,7 @@ Status CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
     SmallBitset probe_sources(layout_.num_sources());
     probe_sources.Set(probe_src);
     eddy_->AddOperator(
-        std::make_shared<SharedStemProbeOp>(
+        std::make_shared<StemProbeOp>(
             "probe[" + layout_.alias(target) + "<-" +
                 layout_.alias(probe_src) + "]",
             &layout_, target, stem, std::move(probe_sources), probe_key),

@@ -10,10 +10,10 @@
 
 #include "cacq/migration.h"
 #include "cacq/shared_ops.h"
-#include "cacq/shared_stem.h"
 #include "eddy/eddy.h"
 #include "expr/ast.h"
 #include "modules/grouped_filter.h"
+#include "stem/stem.h"
 
 namespace tcq {
 
@@ -222,7 +222,7 @@ class CacqEngine {
 
   std::map<size_t, std::shared_ptr<GroupedFilterOp>> filter_ops_;
   std::map<uint64_t, std::shared_ptr<ResidualFilterOp>> residual_ops_;
-  std::map<JoinKey, SharedSteMPtr> stems_;
+  std::map<JoinKey, SteMPtr> stems_;
   /// Registered probe edges (target, stored key, probe key) to avoid dups.
   std::map<std::tuple<size_t, int, int>, bool> probe_edges_;
 };

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cacq/shared_stem.h"
+#include "stem/stem.h"
 #include "tuple/tuple.h"
 
 namespace tcq {
@@ -34,7 +34,7 @@ struct BucketState {
   struct StemState {
     size_t target_source = 0;
     int stored_key = -1;
-    std::vector<SharedSteM::ExtractedEntry> entries;
+    std::vector<SteM::ExtractedEntry> entries;
   };
 
   size_t bucket = 0;
@@ -54,7 +54,7 @@ struct BucketState {
   size_t approx_bytes() const {
     size_t bytes = 0;
     for (const StemState& s : stems) {
-      for (const SharedSteM::ExtractedEntry& e : s.entries) {
+      for (const SteM::ExtractedEntry& e : s.entries) {
         bytes += sizeof(Tuple) + e.tuple.arity() * sizeof(Value);
       }
     }
@@ -92,7 +92,7 @@ struct EngineCheckpoint {
   size_t approx_bytes() const {
     size_t bytes = 0;
     for (const BucketState::StemState& s : stems) {
-      for (const SharedSteM::ExtractedEntry& e : s.entries) {
+      for (const SteM::ExtractedEntry& e : s.entries) {
         bytes += sizeof(Tuple) + e.tuple.arity() * sizeof(Value);
       }
     }

@@ -96,6 +96,32 @@ ExprPtr StripQualifiers(const ExprPtr& e) {
 /// Emission-buffer capacity DeliverEmissions keeps between batches.
 constexpr size_t kMaxRetainedEmissions = 4096;
 
+/// Checks a pushed or retracted tuple against its stream's schema: the
+/// arity, the declared type of every non-NULL cell, and an INT64
+/// timestamp cell. A cell of the wrong type would otherwise reach an
+/// unchecked Value accessor downstream and throw out of the public API.
+Status CheckTuple(const StreamDef& def, const Tuple& tuple) {
+  const Schema& schema = *def.schema;
+  if (tuple.arity() != schema.num_fields()) {
+    return Status::InvalidArgument("tuple arity mismatch for " + def.name);
+  }
+  for (size_t i = 0; i < schema.num_fields(); ++i) {
+    const ValueType type = tuple.cell(i).type();
+    if (type != ValueType::kNull && type != schema.field(i).type) {
+      return Status::TypeError(
+          "cell " + schema.field(i).name + " of " + def.name + " is " +
+          ValueTypeToString(type) + ", declared " +
+          ValueTypeToString(schema.field(i).type));
+    }
+  }
+  if (def.timestamp_field >= 0 &&
+      tuple.cell(static_cast<size_t>(def.timestamp_field)).type() !=
+          ValueType::kInt64) {
+    return Status::TypeError("timestamp column must be INT64");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Server::Server() : Server(Options()) {}
@@ -486,24 +512,14 @@ Status Server::Push(const std::string& stream, const Tuple& tuple) {
 }
 
 Status Server::StampLocked(StreamState* ss, Tuple* tuple) {
-  if (tuple->arity() != ss->def.schema->num_fields()) {
-    return Status::InvalidArgument("tuple arity mismatch for " +
-                                   ss->def.name);
-  }
-  // Stamp the engine timestamp: declared column or arrival order.
+  TCQ_RETURN_NOT_OK(CheckTuple(ss->def, *tuple));
+  // Stamp the engine timestamp: declared column or arrival order. Only a
+  // valid tuple counts as an arrival.
   ++ss->arrivals;
-  Timestamp ts;
-  if (ss->def.timestamp_field >= 0) {
-    const Value& v =
-        tuple->cell(static_cast<size_t>(ss->def.timestamp_field));
-    if (v.type() != ValueType::kInt64) {
-      return Status::TypeError("timestamp column must be INT64");
-    }
-    ts = v.int64_value();
-  } else {
-    ts = ss->arrivals;
-  }
-  tuple->set_timestamp(ts);
+  const int ts_field = ss->def.timestamp_field;
+  tuple->set_timestamp(
+      ts_field >= 0 ? tuple->cell(static_cast<size_t>(ts_field)).int64_value()
+                    : ss->arrivals);
   return Status::OK();
 }
 
@@ -780,17 +796,10 @@ Status Server::Retract(const std::string& stream, const Tuple& tuple) {
     return Status::FailedPrecondition(
         "retractions need a timestamp column on " + stream);
   }
-  if (tuple.arity() != ss.def.schema->num_fields()) {
-    return Status::InvalidArgument("tuple arity mismatch for " +
-                                   ss.def.name);
-  }
-  const Value& v =
-      tuple.cell(static_cast<size_t>(ss.def.timestamp_field));
-  if (v.type() != ValueType::kInt64) {
-    return Status::TypeError("timestamp column must be INT64");
-  }
+  TCQ_RETURN_NOT_OK(CheckTuple(ss.def, tuple));
   Tuple r = tuple;
-  r.set_timestamp(v.int64_value());
+  r.set_timestamp(
+      tuple.cell(static_cast<size_t>(ss.def.timestamp_field)).int64_value());
   r.set_retraction(true);
   // A retraction is not an arrival: it never advances watermarks or the
   // arrival count. The archived assertion must exist — a retraction of a

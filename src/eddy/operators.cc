@@ -1,5 +1,7 @@
 #include "eddy/operators.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace tcq {
@@ -9,15 +11,14 @@ namespace {
 /// done-set carries over (those operators saw the same cells); operators
 /// pending for the stored side remain pending, so join outputs re-check
 /// predicates their stored constituent may have skipped.
-RoutedTuple MakeJoinOutput(const SourceLayout& layout, const RoutedTuple& rt,
-                           size_t target, Tuple merged) {
+RoutedTuple MakeJoinOutput(const RoutedTuple& rt, size_t target,
+                           Tuple merged, SmallBitset queries) {
   RoutedTuple out;
   out.tuple = std::move(merged);
   out.sources = rt.sources;
   out.sources.Set(target);
   out.done = rt.done;
-  out.queries = rt.queries;  // Shared-mode lineage narrows downstream.
-  (void)layout;
+  out.queries = std::move(queries);
   return out;
 }
 }  // namespace
@@ -84,7 +85,7 @@ bool StemBuildOp::Eligible(const SmallBitset& sources) const {
 }
 
 EddyOpResult StemBuildOp::Process(RoutedTuple& rt) {
-  stem_->Insert(rt.tuple);
+  stem_->Insert(rt.tuple, rt.queries);
   EddyOpResult result;
   result.pass = true;
   return result;
@@ -128,20 +129,34 @@ EddyOpResult StemProbeOp::Process(RoutedTuple& rt) {
     key = &key_storage;
   }
 
-  stem_->ProbeCollect(key, lo, hi, [&](const Tuple& stored) {
-    // Arrival-order dedup [MSHR02]: only match state that arrived strictly
-    // before this tuple's newest constituent, so each join result is
-    // produced exactly once no matter how the Eddy ordered the probes.
-    if (stored.seq() >= rt.tuple.seq()) return;
-    Tuple merged = layout_->MergeSparse(rt.tuple, stored);
-    if (residual_ != nullptr) {
-      const Value keep = residual_->Eval(merged);
-      if (keep.is_null() || !keep.bool_value()) return;
-    }
-    stem_->CountMatch();
-    result.outputs.push_back(
-        MakeJoinOutput(*layout_, rt, target_, std::move(merged)));
-  });
+  // Lineage is a property of the input: only shared (CACQ) tuples carry
+  // one, and only then do matches narrow to the queries both sides accept.
+  const bool shared = rt.queries.size_bits() > 0;
+  stem_->ProbeCollect(
+      key, lo, hi, [&](const Tuple& stored, const SmallBitset& lineage) {
+        // Arrival-order dedup [MSHR02]: only match state that arrived
+        // strictly before this tuple's newest constituent, so each join
+        // result is produced exactly once no matter how the Eddy ordered
+        // the probes.
+        if (stored.seq() >= rt.tuple.seq()) return;
+        SmallBitset joint = rt.queries;
+        if (shared) {
+          SmallBitset other = lineage;
+          const size_t width = std::max(joint.size_bits(), other.size_bits());
+          joint.Resize(width);
+          other.Resize(width);
+          joint &= other;
+          if (joint.None()) return;
+        }
+        Tuple merged = layout_->MergeSparse(rt.tuple, stored);
+        if (residual_ != nullptr) {
+          const Value keep = residual_->Eval(merged);
+          if (keep.is_null() || !keep.bool_value()) return;
+        }
+        stem_->CountMatch();
+        result.outputs.push_back(
+            MakeJoinOutput(rt, target_, std::move(merged), std::move(joint)));
+      });
   return result;
 }
 
@@ -197,14 +212,14 @@ EddyOpResult RemoteIndexProbeOp::Process(RoutedTuple& rt) {
       if (keep.is_null() || !keep.bool_value()) return false;
     }
     result.outputs.push_back(
-        MakeJoinOutput(*layout_, rt, target_, std::move(merged)));
+        MakeJoinOutput(rt, target_, std::move(merged), rt.queries));
     return true;
   };
 
   if (cache_ != nullptr && cached_keys_.count(key) != 0) {
     ++cache_hits_;
     cache_->ProbeCollect(&key, kMinTimestamp, kMaxTimestamp,
-                         [&](const Tuple& stored) {
+                         [&](const Tuple& stored, const SmallBitset&) {
                            if (emit_match(stored)) cache_->CountMatch();
                          });
     return result;

@@ -74,8 +74,9 @@ class SyntheticFilterOp : public EddyOperator {
   uint64_t seen_ = 0;
 };
 
-/// SteM build: inserts base tuples of one source into that source's SteM.
-/// Only exact single-source tuples build (composites live in the output
+/// SteM build: inserts base tuples of one source into that source's SteM,
+/// together with the tuple's query lineage (empty outside CACQ). Only
+/// exact single-source tuples build (composites live in the output
 /// stream, not in base state).
 class StemBuildOp : public EddyOperator {
  public:
@@ -83,8 +84,6 @@ class StemBuildOp : public EddyOperator {
 
   bool Eligible(const SmallBitset& sources) const override;
   EddyOpResult Process(RoutedTuple& rt) override;
-
-  const SteMPtr& stem() const { return stem_; }
 
  private:
   size_t source_;
@@ -94,7 +93,10 @@ class StemBuildOp : public EddyOperator {
 /// SteM probe: joins the routed tuple against the stored tuples of a
 /// target source it does not yet contain. Probing uses the hash key when
 /// both key columns are configured, otherwise scans with the residual
-/// predicate. Matches re-enter the Eddy as merged sparse tuples.
+/// predicate. Matches re-enter the Eddy as merged sparse tuples. When the
+/// probe tuple carries a lineage (shared CACQ mode), a match carries the
+/// intersection of both sides' lineages — only queries that accepted both
+/// constituents survive — and an empty intersection drops the match.
 class StemProbeOp : public EddyOperator {
  public:
   /// `probe_sources` = sources that must be present in the tuple (those
@@ -103,7 +105,7 @@ class StemProbeOp : public EddyOperator {
   /// probe_key_index = -1 for scan (band/theta joins).
   StemProbeOp(std::string name, const SourceLayout* layout, size_t target,
               SteMPtr target_stem, SmallBitset probe_sources,
-              int probe_key_index, ExprPtr bound_residual,
+              int probe_key_index, ExprPtr bound_residual = nullptr,
               WindowHandlePtr window = nullptr);
 
   bool Eligible(const SmallBitset& sources) const override;

@@ -16,6 +16,12 @@ Status Catalog::RegisterStream(StreamDef def) {
     return Status::InvalidArgument("timestamp_field out of range for " +
                                    def.name);
   }
+  if (def.timestamp_field >= 0 &&
+      def.schema->field(static_cast<size_t>(def.timestamp_field)).type !=
+          ValueType::kInt64) {
+    return Status::InvalidArgument("timestamp column of " + def.name +
+                                   " must be INT64");
+  }
   defs_.emplace(def.name, std::move(def));
   return Status::OK();
 }

@@ -28,12 +28,10 @@ struct JoinFixture {
   JoinFixture() {
     s = layout.AddSource("S", KV());
     t = layout.AddSource("T", KV());
-    SteM::Options so;
-    so.key_field = static_cast<int>(layout.offset(s));  // S.k
-    stem_s = std::make_shared<SteM>("SteM_S", layout.full_schema(), so);
-    SteM::Options to;
-    to.key_field = static_cast<int>(layout.offset(t));  // T.k
-    stem_t = std::make_shared<SteM>("SteM_T", layout.full_schema(), to);
+    stem_s = std::make_shared<SteM>("SteM_S", layout.full_schema(),
+                                    static_cast<int>(layout.offset(s)));
+    stem_t = std::make_shared<SteM>("SteM_T", layout.full_schema(),
+                                    static_cast<int>(layout.offset(t)));
   }
 
   SmallBitset Only(size_t src) const {
@@ -128,6 +126,53 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("fixed", "random", "lottery"),
                        ::testing::Values(1u, 7u, 99u)));
 
+TEST(EddyJoinTest, OneProbeOpServesPlainAndLineageCarryingJoins) {
+  // Without lineage (the per-query runner): every key match is emitted
+  // and the output carries no lineage either.
+  {
+    JoinFixture fx;
+    Eddy eddy(&fx.layout,
+              std::make_unique<FixedPolicy>(std::vector<size_t>{}));
+    fx.WireSymmetricHashJoin(&eddy);
+    std::vector<RoutedTuple> out;
+    eddy.SetSink([&](RoutedTuple&& rt) { out.push_back(std::move(rt)); });
+    eddy.Inject(fx.s, KVTuple(1, 10));
+    eddy.Inject(fx.t, KVTuple(1, 20));
+    eddy.Drain();
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].queries.size_bits(), 0u);
+  }
+
+  // With lineage (the shared CACQ engine): the same operators narrow each
+  // match to the queries both sides accepted, and drop it when none did.
+  JoinFixture fx;
+  Eddy eddy(&fx.layout, std::make_unique<FixedPolicy>(std::vector<size_t>{}));
+  fx.WireSymmetricHashJoin(&eddy);
+  std::vector<RoutedTuple> out;
+  eddy.SetSink([&](RoutedTuple&& rt) { out.push_back(std::move(rt)); });
+  auto inject = [&](size_t src, const Tuple& narrow, size_t width,
+                    std::initializer_list<size_t> queries) {
+    RoutedTuple rt(fx.layout.Widen(src, narrow), fx.Only(src), 0);
+    rt.queries.Resize(width);
+    for (size_t q : queries) rt.queries.Set(q);
+    eddy.InjectRouted(std::move(rt));
+  };
+  inject(fx.s, KVTuple(1, 10), 4, {0, 1});
+  inject(fx.s, KVTuple(2, 11), 4, {2});
+  // Wider lineage than the stored side's (a query slot added since).
+  inject(fx.t, KVTuple(1, 20), 8, {1, 3, 5});  // Shares query 1 with S.
+  inject(fx.t, KVTuple(2, 21), 8, {3});        // Disjoint: dropped.
+  eddy.Drain();
+
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].tuple.cell(1).int64_value(), 10);
+  EXPECT_EQ(out[0].tuple.cell(3).int64_value(), 20);
+  EXPECT_EQ(out[0].queries.size_bits(), 8u);
+  EXPECT_EQ(out[0].queries.Count(), 1u);
+  EXPECT_TRUE(out[0].queries.Test(1));
+  EXPECT_EQ(fx.stem_s->matches(), 1u);
+}
+
 TEST(EddyJoinTest, ResidualPredicateBandJoin) {
   // S.k = T.k AND T.v > S.v — equality key plus residual band predicate.
   JoinFixture fx;
@@ -187,9 +232,8 @@ TEST(EddyJoinTest, ThreeWayJoinMatchesReference) {
   const size_t t = layout.AddSource("T", KV());
 
   auto make_stem = [&](size_t src, const char* name) {
-    SteM::Options o;
-    o.key_field = static_cast<int>(layout.offset(src));
-    return std::make_shared<SteM>(name, layout.full_schema(), o);
+    return std::make_shared<SteM>(name, layout.full_schema(),
+                                  static_cast<int>(layout.offset(src)));
   };
   auto stem_r = make_stem(r, "SteM_R");
   auto stem_s = make_stem(s, "SteM_S");
@@ -263,9 +307,8 @@ TEST(EddyJoinTest, RemoteIndexHybridCachesLookups) {
   ro.latency_cost = 100;
   auto index = std::make_shared<RemoteIndex>("T_idx", KV(), 0, t_rows, ro);
 
-  SteM::Options co;
-  co.key_field = static_cast<int>(layout.offset(t));
-  auto cache = std::make_shared<SteM>("T_cache", layout.full_schema(), co);
+  auto cache = std::make_shared<SteM>("T_cache", layout.full_schema(),
+                                      static_cast<int>(layout.offset(t)));
 
   SmallBitset only_s(layout.num_sources());
   only_s.Set(s);
@@ -298,9 +341,8 @@ TEST(EddyJoinTest, SelfJoinViaTwoAliases) {
   const size_t c1 = layout.AddSource("c1", KV());
   const size_t c2 = layout.AddSource("c2", KV());
   auto make_stem = [&](size_t src, const char* name) {
-    SteM::Options o;
-    o.key_field = static_cast<int>(layout.offset(src));
-    return std::make_shared<SteM>(name, layout.full_schema(), o);
+    return std::make_shared<SteM>(name, layout.full_schema(),
+                                  static_cast<int>(layout.offset(src)));
   };
   auto stem1 = make_stem(c1, "SteM_c1");
   auto stem2 = make_stem(c2, "SteM_c2");

@@ -650,6 +650,108 @@ TEST_F(ServerTest, SumOrAvgOverNonNumericColumnIsRejectedAtSubmit) {
   EXPECT_EQ(server_.PollAll(*q).size(), 2u);
 }
 
+/// A quote whose DOUBLE closingPrice cell holds a string.
+Tuple StringPrice(int64_t day) {
+  return Tuple::Make(
+      {Value::Int64(day), Value::String("MSFT"), Value::String("high")}, day);
+}
+
+/// Registers the two queries that read closingPrice as a number: a
+/// windowed AVG and a standing filter with arithmetic.
+std::pair<QueryId, QueryId> SubmitPriceReaders(Server* server) {
+  auto avg = server->Submit(
+      "SELECT AVG(closingPrice) FROM ClosingStockPrices "
+      "for (t = ST; true; t += 1) { WindowIs(ClosingStockPrices, t - 1, t); "
+      "}");
+  auto filter = server->Submit(
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "WHERE closingPrice + 1 > 50");
+  EXPECT_TRUE(avg.ok()) << avg.status();
+  EXPECT_TRUE(filter.ok()) << filter.status();
+  return {avg.ok() ? *avg : 0, filter.ok() ? *filter : 0};
+}
+
+TEST_F(ServerTest, WrongTypedCellIsRejectedByPushAndIsNoArrival) {
+  const auto [avg, filter] = SubmitPriceReaders(&server_);
+  ASSERT_TRUE(server_.Push("ClosingStockPrices", Stock(1, "MSFT", 60)).ok());
+  Status st;
+  EXPECT_NO_THROW(st = server_.Push("ClosingStockPrices", StringPrice(2)));
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st;
+  // A timestamp cell of the wrong type is rejected the same way.
+  EXPECT_NO_THROW(
+      st = server_.Push("ClosingStockPrices",
+                        Tuple::Make({Value::String("2"), Value::String("MSFT"),
+                                     Value::Double(61)},
+                                    2)));
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st;
+  // NULL cells stay legal; valid tuples keep flowing.
+  ASSERT_TRUE(server_
+                  .Push("ClosingStockPrices",
+                        Tuple::Make({Value::Int64(2), Value::Null(),
+                                     Value::Double(61)},
+                                    2))
+                  .ok());
+  ASSERT_TRUE(server_.Push("ClosingStockPrices", Stock(3, "MSFT", 62)).ok());
+  EXPECT_EQ(server_.PollAll(filter).size(), 3u);
+  EXPECT_FALSE(server_.PollAll(avg).empty());
+  // Rejected tuples are counted as rejections, not as arrivals.
+  EXPECT_NE(server_.SnapshotMetrics().find("\"arrivals\":3,\"rejected\":2"),
+            std::string::npos)
+      << server_.SnapshotMetrics();
+}
+
+TEST_F(ServerTest, WrongTypedCellInABatchIsRejectedAndNeverThrows) {
+  const auto [avg, filter] = SubmitPriceReaders(&server_);
+  auto batch = [] {
+    return std::vector<Tuple>{Stock(1, "MSFT", 60), StringPrice(2),
+                              Stock(3, "MSFT", 62)};
+  };
+  // Without `rejected`: the valid prefix is ingested, then the error.
+  Status st;
+  EXPECT_NO_THROW(st = server_.PushBatch("ClosingStockPrices", batch()));
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st;
+  EXPECT_EQ(server_.PollAll(filter).size(), 1u);
+
+  // With `rejected`: the bad tuple is skipped and counted.
+  Server counted;
+  ASSERT_TRUE(counted
+                  .DefineStream("ClosingStockPrices", StockSchema(),
+                                /*timestamp_field=*/0)
+                  .ok());
+  const auto [avg2, filter2] = SubmitPriceReaders(&counted);
+  size_t rejected = 0;
+  EXPECT_NO_THROW(
+      st = counted.PushBatch("ClosingStockPrices", batch(), &rejected));
+  EXPECT_TRUE(st.ok()) << st;
+  EXPECT_EQ(rejected, 1u);
+  EXPECT_EQ(counted.PollAll(filter2).size(), 2u);
+  (void)avg;
+  (void)avg2;
+}
+
+TEST_F(ServerTest, NonInt64TimestampColumnIsRejectedAtDefine) {
+  // Pushes check every cell against its declared type and timestamps must
+  // be INT64, so such a stream could never accept a tuple.
+  auto schema = Schema::Make(
+      {{"ts", ValueType::kDouble, ""}, {"v", ValueType::kInt64, ""}});
+  EXPECT_EQ(server_.DefineStream("DoubleClock", schema, 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(server_.DefineStream("ArrivalClock", schema, -1).ok());
+}
+
+TEST_F(ServerTest, WrongTypedCellIsRejectedByRetract) {
+  // Pushed before any query reads the cell, the bad tuple must already be
+  // refused, or it would sit in the archive for a retraction to match.
+  Status st = server_.Push("ClosingStockPrices", StringPrice(1));
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st;
+  SubmitPriceReaders(&server_);
+  EXPECT_NO_THROW(st = server_.Retract("ClosingStockPrices", StringPrice(1)));
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st;
+  // The arity check lives in the same place.
+  st = server_.Retract("ClosingStockPrices", Tuple::Make({Value::Int64(1)}, 1));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+}
+
 #ifndef TCQ_METRICS_DISABLED
 TEST_F(ServerTest, WindowedEquiJoinCountsStemMatches) {
   ASSERT_TRUE(server_

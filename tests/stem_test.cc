@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "common/rng.h"
 
 namespace tcq {
@@ -16,143 +19,190 @@ Tuple KVTuple(int64_t k, int64_t v, Timestamp ts) {
   return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);
 }
 
-SteM::Options Indexed() {
-  SteM::Options o;
-  o.key_field = 0;
-  return o;
+SmallBitset Queries(std::initializer_list<size_t> ids, size_t n = 8) {
+  SmallBitset b(n);
+  for (size_t i : ids) b.Set(i);
+  return b;
+}
+
+/// The stored `v` cells a probe visits, in visit order.
+std::vector<int64_t> ProbeValues(const SteM& stem, const Value* key,
+                                 Timestamp lo = kMinTimestamp,
+                                 Timestamp hi = kMaxTimestamp) {
+  std::vector<int64_t> out;
+  stem.ProbeCollect(key, lo, hi, [&](const Tuple& t, const SmallBitset&) {
+    out.push_back(t.cell(1).int64_value());
+  });
+  return out;
 }
 
 TEST(SteMTest, InsertAndSize) {
-  SteM stem("s", KV(), Indexed());
-  EXPECT_TRUE(stem.empty());
+  SteM stem("s", KV(), /*key_field=*/0);
+  EXPECT_EQ(stem.size(), 0u);
   stem.Insert(KVTuple(1, 10, 1));
   stem.Insert(KVTuple(2, 20, 2));
   EXPECT_EQ(stem.size(), 2u);
-  EXPECT_EQ(stem.stats().inserts, 2u);
 }
 
-TEST(SteMTest, IndexedProbeFindsMatches) {
-  SteM stem("s", KV(), Indexed());
+TEST(SteMTest, KeyedProbeFindsOnlyMatchingKey) {
+  SteM stem("s", KV(), 0);
   stem.Insert(KVTuple(1, 10, 1));
   stem.Insert(KVTuple(1, 11, 2));
   stem.Insert(KVTuple(2, 20, 3));
-  const Tuple probe = KVTuple(1, 99, 5);
-  TupleVector matches = stem.Probe(probe, /*probe_key_field=*/0,
-                                   /*probe_on_left=*/true, nullptr);
-  ASSERT_EQ(matches.size(), 2u);
-  for (const Tuple& m : matches) {
-    EXPECT_EQ(m.arity(), 4u);
-    EXPECT_EQ(m.cell(0).int64_value(), 1);   // Probe side.
-    EXPECT_EQ(m.cell(2).int64_value(), 1);   // Stored side key.
-  }
-  EXPECT_EQ(stem.stats().matches, 2u);
+  const Value key = Value::Int64(1);
+  std::vector<int64_t> seen = ProbeValues(stem, &key);
+  std::sort(seen.begin(), seen.end());  // Equal-key order is unspecified.
+  EXPECT_EQ(seen, (std::vector<int64_t>{10, 11}));
 }
 
-TEST(SteMTest, ProbeOnRightConcatsStoredFirst) {
-  SteM stem("s", KV(), Indexed());
-  stem.Insert(KVTuple(7, 70, 1));
-  const Tuple probe = KVTuple(7, 99, 5);
-  TupleVector matches =
-      stem.Probe(probe, 0, /*probe_on_left=*/false, nullptr);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].cell(1).int64_value(), 70);  // Stored v first.
-  EXPECT_EQ(matches[0].cell(3).int64_value(), 99);  // Probe v second.
-}
-
-TEST(SteMTest, ResidualPredicateFilters) {
-  SteM stem("s", KV(), Indexed());
-  stem.Insert(KVTuple(1, 10, 1));
-  stem.Insert(KVTuple(1, 30, 2));
-  // Concat schema: probe(k,v) ++ stored(k,v); filter stored.v > 20.
-  SchemaPtr concat = Schema::Concat(*KV()->WithQualifier("p"),
-                                    *KV()->WithQualifier("s"));
-  auto residual = Expr::Binary(BinaryOp::kGt, Expr::Column("s.v"),
-                               Expr::Literal(Value::Int64(20)))
-                      ->Bind(*concat);
-  ASSERT_TRUE(residual.ok());
-  TupleVector matches = stem.Probe(KVTuple(1, 0, 9), 0, true, *residual);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].cell(3).int64_value(), 30);
-}
-
-TEST(SteMTest, UnindexedProbeScans) {
-  SteM::Options o;  // No key field.
-  SteM stem("s", KV(), o);
+TEST(SteMTest, NullKeyScansEverything) {
+  SteM stem("s", KV(), 0);
   stem.Insert(KVTuple(1, 10, 1));
   stem.Insert(KVTuple(2, 20, 2));
-  TupleVector matches = stem.Probe(KVTuple(9, 9, 9), -1, true, nullptr);
-  EXPECT_EQ(matches.size(), 2u);  // No residual: everything matches.
-  EXPECT_EQ(stem.stats().scanned, 2u);
+  EXPECT_EQ(ProbeValues(stem, nullptr), (std::vector<int64_t>{10, 20}));
 }
 
-TEST(SteMTest, ProbeWindowRestrictsByTimestamp) {
-  SteM stem("s", KV(), Indexed());
-  for (int64_t ts = 1; ts <= 10; ++ts) stem.Insert(KVTuple(1, ts, ts));
-  TupleVector matches =
-      stem.ProbeWindow(KVTuple(1, 0, 0), 0, true, nullptr, 3, 7);
-  EXPECT_EQ(matches.size(), 5u);
-  for (const Tuple& m : matches) {
-    EXPECT_GE(m.cell(3).int64_value(), 3);
-    EXPECT_LE(m.cell(3).int64_value(), 7);
-  }
+TEST(SteMTest, UnindexedProbeScansDespiteKey) {
+  SteM stem("s", KV());  // No key field: every probe scans.
+  stem.Insert(KVTuple(1, 10, 1));
+  stem.Insert(KVTuple(2, 20, 2));
+  const Value key = Value::Int64(9);
+  EXPECT_EQ(ProbeValues(stem, &key).size(), 2u);
+  EXPECT_EQ(stem.scanned(), 2u);
+}
+
+TEST(SteMTest, WindowRestrictsProbe) {
+  SteM stem("s", KV(), 0);
+  for (Timestamp ts = 1; ts <= 10; ++ts) stem.Insert(KVTuple(1, ts, ts));
+  const Value key = Value::Int64(1);
+  std::vector<int64_t> seen = ProbeValues(stem, &key, 3, 7);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<int64_t>{3, 4, 5, 6, 7}));
 }
 
 TEST(SteMTest, EvictBeforeRemovesOldState) {
-  SteM stem("s", KV(), Indexed());
-  for (int64_t ts = 1; ts <= 10; ++ts) stem.Insert(KVTuple(1, ts, ts));
+  SteM stem("s", KV(), 0);
+  for (Timestamp ts = 1; ts <= 10; ++ts) stem.Insert(KVTuple(1, ts, ts));
   EXPECT_EQ(stem.EvictBefore(6), 5u);
   EXPECT_EQ(stem.size(), 5u);
-  TupleVector matches = stem.Probe(KVTuple(1, 0, 0), 0, true, nullptr);
-  EXPECT_EQ(matches.size(), 5u);
-  for (const Tuple& m : matches) EXPECT_GE(m.cell(3).int64_value(), 6);
+  const Value key = Value::Int64(1);
+  std::vector<int64_t> seen = ProbeValues(stem, &key);
+  ASSERT_EQ(seen.size(), 5u);
+  for (int64_t v : seen) EXPECT_GE(v, 6);
 }
 
-TEST(SteMTest, EvictOutsideKeepsWindowOnly) {
-  SteM stem("s", KV(), Indexed());
-  for (int64_t ts = 1; ts <= 10; ++ts) stem.Insert(KVTuple(ts, ts, ts));
-  EXPECT_EQ(stem.EvictOutside(4, 6), 7u);
-  EXPECT_EQ(stem.size(), 3u);
+TEST(SteMTest, EvictBeforeSweepsStragglersBehindNewerTuples) {
+  SteM stem("s", KV(), 0);
+  stem.Insert(KVTuple(1, 1, 10));
+  stem.Insert(KVTuple(2, 2, 3));  // Straggler stored behind ts=10.
+  stem.Insert(KVTuple(3, 3, 20));
+  EXPECT_EQ(stem.EvictBefore(15), 2u);
+  EXPECT_EQ(ProbeValues(stem, nullptr), (std::vector<int64_t>{3}));
+  // The evicted keys left the index too.
+  const Value key = Value::Int64(2);
+  EXPECT_TRUE(ProbeValues(stem, &key).empty());
 }
 
-TEST(SteMTest, CapacityBoundEvictsFifo) {
-  SteM::Options o = Indexed();
-  o.max_tuples = 3;
-  SteM stem("s", KV(), o);
-  for (int64_t i = 1; i <= 5; ++i) stem.Insert(KVTuple(i, i, i));
-  EXPECT_EQ(stem.size(), 3u);
-  // 1 and 2 evicted; 3..5 remain.
-  EXPECT_TRUE(stem.Probe(KVTuple(1, 0, 0), 0, true, nullptr).empty());
-  EXPECT_EQ(stem.Probe(KVTuple(3, 0, 0), 0, true, nullptr).size(), 1u);
-  EXPECT_EQ(stem.Probe(KVTuple(5, 0, 0), 0, true, nullptr).size(), 1u);
+TEST(SteMTest, RetractionCancelsOneMatchingAssertion) {
+  SteM stem("s", KV(), 0);
+  stem.Insert(KVTuple(1, 10, 1));
+  stem.Insert(KVTuple(1, 10, 1));  // A duplicate assertion.
+  stem.Insert(KVTuple(1, 11, 2));
+  Tuple retract = KVTuple(1, 10, 1);
+  retract.set_retraction(true);
+  stem.Insert(retract);
+  EXPECT_EQ(stem.size(), 2u);  // One of the duplicates is gone.
+  stem.Insert(retract);  // Cancels the other duplicate.
+  stem.Insert(retract);  // Unmatched: a no-op.
+  EXPECT_EQ(stem.size(), 1u);
+  const Value key = Value::Int64(1);
+  EXPECT_EQ(ProbeValues(stem, &key), (std::vector<int64_t>{11}));
 }
 
-TEST(SteMTest, ClearResets) {
-  SteM stem("s", KV(), Indexed());
-  stem.Insert(KVTuple(1, 1, 1));
-  stem.Clear();
-  EXPECT_TRUE(stem.empty());
-  EXPECT_TRUE(stem.Probe(KVTuple(1, 0, 0), 0, true, nullptr).empty());
-  stem.Insert(KVTuple(1, 2, 2));
-  EXPECT_EQ(stem.Probe(KVTuple(1, 0, 0), 0, true, nullptr).size(), 1u);
+TEST(SteMTest, StoresLineageWithTuples) {
+  SteM stem("s", KV(), 0);
+  stem.Insert(KVTuple(1, 10, 1), Queries({0, 2}));
+  stem.Insert(KVTuple(1, 11, 2), Queries({1}));
+  stem.Insert(KVTuple(1, 12, 3));  // Empty lineage (per-query mode).
+
+  std::map<int64_t, SmallBitset> lineages;
+  const Value key = Value::Int64(1);
+  stem.ProbeCollect(&key, kMinTimestamp, kMaxTimestamp,
+                    [&](const Tuple& t, const SmallBitset& q) {
+                      lineages.emplace(t.cell(1).int64_value(), q);
+                    });
+  ASSERT_EQ(lineages.size(), 3u);
+  EXPECT_EQ(lineages.at(10), Queries({0, 2}));
+  EXPECT_EQ(lineages.at(11), Queries({1}));
+  EXPECT_EQ(lineages.at(12).size_bits(), 0u);
 }
 
-TEST(SteMTest, ForEachVisitsLiveInArrivalOrder) {
-  SteM stem("s", KV(), Indexed());
-  for (int64_t i = 1; i <= 4; ++i) stem.Insert(KVTuple(i, i, i));
-  stem.EvictBefore(2);  // Kill tuple ts=1.
-  std::vector<int64_t> seen;
-  stem.ForEach([&](const Tuple& t) { seen.push_back(t.cell(0).int64_value()); });
-  EXPECT_EQ(seen, (std::vector<int64_t>{2, 3, 4}));
+TEST(SteMTest, ScrubQueryClearsBitEverywhere) {
+  SteM stem("s", KV(), 0);
+  stem.Insert(KVTuple(1, 10, 1), Queries({0, 1}));
+  stem.Insert(KVTuple(2, 20, 2), Queries({1, 2}));
+  stem.Insert(KVTuple(3, 30, 3));  // Too narrow to hold the bit.
+  stem.ScrubQuery(1);
+  size_t seen = 0;
+  stem.ProbeCollect(nullptr, kMinTimestamp, kMaxTimestamp,
+                    [&](const Tuple&, const SmallBitset& q) {
+                      ++seen;
+                      if (q.size_bits() > 1) {
+                        EXPECT_FALSE(q.Test(1));
+                      }
+                    });
+  EXPECT_EQ(seen, 3u);
 }
 
-TEST(SteMTest, ProbeCollectWithNullKeyScans) {
-  SteM stem("s", KV(), Indexed());
+TEST(SteMTest, ExtractInstallCopyAndClearKeepLineage) {
+  SteM from("a", KV(), 0);
+  SteM to("b", KV(), 0);
+  for (int64_t k = 0; k < 6; ++k) {
+    from.Insert(KVTuple(k, k * 10, k), Queries({static_cast<size_t>(k)}));
+  }
+  // Lift the even keys, in arrival order, lineage included.
+  auto moved =
+      from.ExtractIf([](const Value& v) { return v.int64_value() % 2 == 0; });
+  ASSERT_EQ(moved.size(), 3u);
+  for (size_t i = 0; i < moved.size(); ++i) {
+    EXPECT_EQ(moved[i].tuple.cell(0).int64_value(),
+              static_cast<int64_t>(2 * i));
+    EXPECT_EQ(moved[i].lineage, Queries({2 * i}));
+  }
+  EXPECT_EQ(from.size(), 3u);
+  const Value zero = Value::Int64(0);
+  EXPECT_TRUE(ProbeValues(from, &zero).empty());
+
+  for (const auto& e : moved) to.Install(e);
+  EXPECT_EQ(ProbeValues(to, &zero), (std::vector<int64_t>{0}));
+
+  // CopyAll snapshots without removing; ClearAll then empties the store.
+  auto copy = to.CopyAll();
+  ASSERT_EQ(copy.size(), 3u);
+  EXPECT_EQ(copy[1].lineage, Queries({2}));
+  EXPECT_EQ(to.size(), 3u);
+  to.ClearAll();
+  EXPECT_EQ(to.size(), 0u);
+  EXPECT_TRUE(ProbeValues(to, &zero).empty());
+  // The store stays usable after a reset.
+  to.Install(copy[0]);
+  EXPECT_EQ(ProbeValues(to, &zero), (std::vector<int64_t>{0}));
+}
+
+TEST(SteMTest, CountersTrackProbesScansAndMatches) {
+  SteM stem("s", KV(), 0);
   stem.Insert(KVTuple(1, 1, 1));
   stem.Insert(KVTuple(2, 2, 2));
-  int n = 0;
+  const Value key = Value::Int64(1);
+  stem.ProbeCollect(&key, kMinTimestamp, kMaxTimestamp,
+                    [&](const Tuple&, const SmallBitset&) {
+                      stem.CountMatch();
+                    });
   stem.ProbeCollect(nullptr, kMinTimestamp, kMaxTimestamp,
-                    [&](const Tuple&) { ++n; });
-  EXPECT_EQ(n, 2);
+                    [](const Tuple&, const SmallBitset&) {});
+  EXPECT_EQ(stem.probes(), 2u);
+  EXPECT_EQ(stem.scanned(), 3u);  // One keyed hit, then a two-entry scan.
+  EXPECT_EQ(stem.matches(), 1u);
 }
 
 // Property: symmetric-hash join via two SteMs == reference nested loops.
@@ -163,24 +213,25 @@ TEST_P(SteMJoinPropertyTest, SymmetricHashJoinMatchesNestedLoops) {
   const int n = 200;
   const int64_t key_space = 20;
 
-  SteM stem_s("S", KV(), Indexed());
-  SteM stem_t("T", KV(), Indexed());
-  TupleVector s_tuples, t_tuples;
+  SteM stem_s("S", KV(), 0);
+  SteM stem_t("T", KV(), 0);
+  std::vector<Tuple> s_tuples, t_tuples;
 
   size_t joined = 0;
+  auto count = [&](const Tuple&, const SmallBitset&) { ++joined; };
   for (int i = 0; i < n; ++i) {
     const bool from_s = rng.NextBool(0.5);
     Tuple t = KVTuple(static_cast<int64_t>(rng.NextBounded(key_space)),
                       i, i);
+    // Build into own SteM, then probe the other side.
     if (from_s) {
-      // Build into own SteM, then probe the other side.
       stem_s.Insert(t);
       s_tuples.push_back(t);
-      joined += stem_t.Probe(t, 0, true, nullptr).size();
+      stem_t.ProbeCollect(&t.cell(0), kMinTimestamp, kMaxTimestamp, count);
     } else {
       stem_t.Insert(t);
       t_tuples.push_back(t);
-      joined += stem_s.Probe(t, 0, false, nullptr).size();
+      stem_s.ProbeCollect(&t.cell(0), kMinTimestamp, kMaxTimestamp, count);
     }
   }
 
