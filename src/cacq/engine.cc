@@ -302,17 +302,16 @@ Status CacqEngine::InjectBatch(size_t s, const std::vector<Tuple>& batch,
     interested &= lane_set;
   }
   if (interested.None() || batch.empty()) return Status::OK();
-  std::vector<RoutedTuple> rts;
-  rts.reserve(batch.size());
+  // Built in place in a buffer the eddy adopts as its first run; the
+  // buffer handed back is refilled by the next batch.
   for (const Tuple& tuple : batch) {
-    RoutedTuple rt;
+    RoutedTuple& rt = staged_.emplace_back();
     rt.tuple = layout_.Widen(s, tuple);
     rt.sources.Resize(layout_.num_sources());
     rt.sources.Set(s);
     rt.queries = interested;
-    rts.push_back(std::move(rt));
   }
-  eddy_->InjectRoutedBatch(std::move(rts));
+  eddy_->InjectRoutedBatch(&staged_);
   eddy_->Drain();
   return Status::OK();
 }

@@ -204,6 +204,8 @@ class CacqEngine {
   Options options_;
   SourceLayout layout_;
   std::unique_ptr<Eddy> eddy_;
+  /// InjectBatch's reused build buffer (see Eddy::InjectRoutedBatch).
+  std::vector<RoutedTuple> staged_;
   Sink sink_;
 
   /// Indexed by query slot; inactive entries are free slots.

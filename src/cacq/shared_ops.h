@@ -28,6 +28,7 @@ class GroupedFilterOp : public EddyOperator {
 
   bool Eligible(const SmallBitset& sources) const override;
   EddyOpResult Process(RoutedTuple& rt) override;
+  void FlushMetrics() override { filter_.FlushMetrics(); }
 
  private:
   size_t column_;

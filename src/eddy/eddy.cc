@@ -35,12 +35,13 @@ struct RoutingMetrics {
     return m;
   }
 };
+#endif
 
 /// Decision-source markers used between the decision point and TraceHop.
 constexpr int kDecisionPolicy = 0;
 constexpr int kDecisionCached = 1;
 constexpr int kDecisionSequence = 2;
-#endif
+
 /// Folds a bitset into one word (collision-free below 64 bits, which
 /// covers realistic source counts and all but enormous operator sets).
 uint64_t FoldBits(const SmallBitset& bits) {
@@ -71,13 +72,41 @@ Eddy::Eddy(const SourceLayout* layout, std::unique_ptr<RoutingPolicy> policy,
 
 size_t Eddy::AddOperator(EddyOperatorPtr op, int group) {
   TCQ_CHECK(op != nullptr);
+  const size_t id = ops_.size();
+  const bool probe = op->IsJoinProbe();
   ops_.push_back(std::move(op));
   groups_.push_back(group);
-  is_probe_.push_back(ops_.back()->IsJoinProbe());
   stats_.emplace_back();
   cost_hints_.push_back(ops_.back()->CostHint());
+
+  // Hop masks: widen every mask by one bit, then wire the newcomer into
+  // its alternatives group and (for a probe) the one-probe rule.
+  for (SmallBitset& mask : hop_masks_) mask.Resize(id + 1);
+  probe_mask_.Resize(id + 1);
+  hop_masks_.emplace_back(id + 1);
+  SmallBitset& mine = hop_masks_.back();
+  mine.Set(id);
+  for (size_t i = 0; i < id; ++i) {
+    if (group >= 0 && groups_[i] == group) {
+      hop_masks_[i].Set(id);
+      mine.Set(i);
+    }
+  }
+  if (probe) {
+    probe_mask_.ForEachSet([&](size_t i) { hop_masks_[i].Set(id); });
+    probe_mask_.Set(id);
+    mine |= probe_mask_;
+  }
   decision_cache_.clear();  // Cached choices may now be stale.
-  return ops_.size() - 1;
+  return id;
+}
+
+void Eddy::Stamp(RoutedTuple* rt) {
+  if (rt->done.size_bits() != ops_.size()) rt->done.Resize(ops_.size());
+  if (rt->tuple.seq() == 0) rt->tuple.set_seq(next_seq_++);
+  if (rt->trace_id == 0) {
+    TCQ_METRIC(rt->trace_id = Tracer::Global().MaybeStartTrace());
+  }
 }
 
 void Eddy::Inject(size_t source, const Tuple& narrow) {
@@ -103,18 +132,23 @@ void Eddy::InjectBatch(size_t source, const std::vector<Tuple>& batch) {
 }
 
 void Eddy::InjectRouted(RoutedTuple rt) {
-  if (rt.done.size_bits() < ops_.size()) rt.done.Resize(ops_.size());
-  if (rt.tuple.seq() == 0) rt.tuple.set_seq(next_seq_++);
-  if (rt.trace_id == 0) {
-    TCQ_METRIC(rt.trace_id = Tracer::Global().MaybeStartTrace());
-  }
+  Stamp(&rt);
   queue_.push_back(std::move(rt));
 }
 
-void Eddy::InjectRoutedBatch(std::vector<RoutedTuple>&& batch) {
-  const size_t n = batch.size();
-  for (RoutedTuple& rt : batch) InjectRouted(std::move(rt));
-  batch.clear();
+void Eddy::InjectRoutedBatch(std::vector<RoutedTuple>* batch) {
+  const size_t n = batch->size();
+  for (RoutedTuple& rt : *batch) Stamp(&rt);
+  // Nothing pending (in particular, not called back from inside a run,
+  // which keeps run_ non-empty until it finishes): the batch is the front
+  // of the queue, so it becomes run_ as is and the caller gets the spare
+  // buffer back. Otherwise it waits behind what is already queued.
+  if (run_.empty() && queue_.empty()) {
+    run_.swap(*batch);
+  } else {
+    for (RoutedTuple& rt : *batch) queue_.push_back(std::move(rt));
+    batch->clear();
+  }
   if (n > batch_hint_) batch_hint_ = n;
 }
 
@@ -139,35 +173,36 @@ void Eddy::SnapshotRanking(std::vector<size_t>* out) const {
   });
 }
 
-void Eddy::Complete(RoutedTuple&& rt) {
+void Eddy::CompleteRun() {
+  // Shared (CACQ) mode hands every finished tuple to the engine above,
+  // which decides per-query delivery from composition and lineage.
+  // Single-query mode emits only tuples spanning every source; partial
+  // compositions have served their purpose (their state lives on inside
+  // SteMs awaiting future matches). A run has one composition, so one
+  // test decides for all of its tuples.
+  const bool emits = partial_sink_ != nullptr ||
+                     run_[0].sources.Count() == layout_->num_sources();
+  for (RoutedTuple& rt : run_) {
 #ifndef TCQ_METRICS_DISABLED
-  if (rt.trace_id != 0) {
-    const bool emits = partial_sink_ != nullptr ||
-                       rt.sources.Count() == layout_->num_sources();
-    TraceEvent ev;
-    ev.trace_id = rt.trace_id;
-    ev.tuple_seq = rt.tuple.seq();
-    ev.op = emits ? "[emit]" : "[discard]";
-    ev.decision = TraceDecision::kNone;
-    ev.passed = emits;
-    ev.queue_depth = queue_.size();
-    Tracer::Global().Record(std::move(ev));
-  }
+    if (rt.trace_id != 0) {
+      TraceEvent ev;
+      ev.trace_id = rt.trace_id;
+      ev.tuple_seq = rt.tuple.seq();
+      ev.op = emits ? "[emit]" : "[discard]";
+      ev.decision = TraceDecision::kNone;
+      ev.passed = emits;
+      ev.queue_depth = queue_.size();
+      Tracer::Global().Record(std::move(ev));
+    }
 #endif
-  // Shared (CACQ) mode: the engine above decides per-query delivery from
-  // the tuple's composition and lineage.
-  if (partial_sink_) {
-    ++emitted_;
-    partial_sink_(std::move(rt));
-    return;
+    if (partial_sink_) {
+      partial_sink_(std::move(rt));
+    } else if (emits && sink_) {
+      sink_(std::move(rt));
+    }
   }
-  // Single-query mode: a tuple reaches the query output only when it spans
-  // every source of this Eddy; partial compositions have served their
-  // purpose (their state lives on inside SteMs awaiting future matches).
-  if (rt.sources.Count() == layout_->num_sources()) {
-    ++emitted_;
-    if (sink_) sink_(std::move(rt));
-  }
+  if (emits) emitted_ += run_.size();
+  run_.clear();
 }
 
 #ifndef TCQ_METRICS_DISABLED
@@ -205,152 +240,219 @@ void Eddy::FlushMetrics() {
   flushed_emitted_ = emitted_;
   flushed_cache_hits_ = cache_hits_;
   flushed_cache_misses_ = cache_misses_;
+  for (const EddyOperatorPtr& op : ops_) op->FlushMetrics();
 }
 #endif
 
-void Eddy::RouteOne(RoutedTuple rt) {
-  if (rt.done.size_bits() < ops_.size()) rt.done.Resize(ops_.size());
+void Eddy::SplitRun(size_t n) {
+  for (size_t i = run_.size(); i-- > n;) {
+    queue_.push_front(std::move(run_[i]));
+  }
+  run_.erase(run_.begin() + static_cast<std::ptrdiff_t>(n), run_.end());
+}
 
-  std::vector<size_t>& eligible = eligible_scratch_;
-  EligibleOps(rt, &eligible);
-  if (eligible.empty()) {
-    Complete(std::move(rt));
+void Eddy::FormRun(size_t max_len) {
+  auto same_stage = [this](RoutedTuple& rt) {
+    if (rt.done.size_bits() != ops_.size()) rt.done.Resize(ops_.size());
+    return rt.sources == run_[0].sources && rt.done == run_[0].done;
+  };
+  size_t n = 1;
+  while (n < run_.size() && n < max_len && same_stage(run_[n])) ++n;
+  if (n < run_.size()) {
+    SplitRun(n);
     return;
   }
+  while (run_.size() < max_len && !queue_.empty() &&
+         same_stage(queue_.front())) {
+    run_.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+  }
+}
 
-  // --- One routing decision (possibly served from the batch cache). ---
-  // The cache engages for the configured batch_size knob AND for an
-  // in-flight injected batch (batch_hint_), which amortizes one decision
-  // over the whole batch at each routing stage.
-  const size_t reuse_span = std::max(options_.batch_size, batch_hint_);
-  size_t chosen;
+void Eddy::ApplyHop(size_t op, int decision_src) {
+  (void)decision_src;
+  EddyOperator& oper = *ops_[op];
+  const SmallBitset& mask = hop_masks_[op];
+  const size_t n = run_.size();
+  size_t kept = 0;
+  uint64_t produced = 0;
+  for (size_t i = 0; i < n; ++i) {
+    RoutedTuple& rt = run_[i];
+    EddyOpResult result = oper.Process(rt);
+    // Visiting one alternative satisfies its whole group, and after any
+    // join probe the tuple is spent for joining (one-probe rule): its
+    // outputs carry the remaining join work.
+    rt.done |= mask;
 #ifndef TCQ_METRICS_DISABLED
-  int decision_src = kDecisionPolicy;
+    if (rt.trace_id != 0) {
+      // The head took the run's decision; the rest reused it.
+      const int src = i == 0 || decision_src == kDecisionSequence
+                          ? decision_src
+                          : kDecisionCached;
+      TraceHop(rt, op, src, result.pass);
+    }
 #endif
-  if (reuse_span > 1) {
-    const uint64_t key = StageKey(rt);
-    auto it = decision_cache_.find(key);
-    if (it != decision_cache_.end() && it->second.remaining > 0 &&
-        std::find(eligible.begin(), eligible.end(), it->second.op) !=
-            eligible.end()) {
-      chosen = it->second.op;
-      --it->second.remaining;
-      ++cache_hits_;
-      TCQ_METRIC(decision_src = kDecisionCached);
+    produced += result.outputs.size();
+    for (RoutedTuple& out : result.outputs) {
+      out.trace_id = rt.trace_id;  // Matches stay on their probe's trace.
+      if (out.done.size_bits() != ops_.size()) out.done.Resize(ops_.size());
+      // Join outputs probe the targets they still miss: clear inherited
+      // probe marks (eligibility keeps them away from present targets).
+      out.done -= probe_mask_;
+      queue_.push_back(std::move(out));
+    }
+    if (result.pass) {
+      if (kept != i) run_[kept] = std::move(rt);
+      ++kept;
+      continue;
+    }
+    // Input consumed (dropped or absorbed).
+#ifndef TCQ_METRICS_DISABLED
+    // A traced tuple's path ends explicitly: a drop with no outputs is a
+    // dead end; an absorbing probe's trace continues on its outputs.
+    if (rt.trace_id != 0 && result.outputs.empty()) {
+      TraceEvent ev;
+      ev.trace_id = rt.trace_id;
+      ev.tuple_seq = rt.tuple.seq();
+      ev.op = "[discard]";
+      ev.decision = TraceDecision::kNone;
+      ev.passed = false;
+      ev.queue_depth = queue_.size();
+      Tracer::Global().Record(std::move(ev));
+    }
+#endif
+  }
+  run_.erase(run_.begin() + static_cast<std::ptrdiff_t>(kept), run_.end());
+
+  visits_ += n;
+  EddyOpStats& s = stats_[op];
+  s.routed += n;
+  if (kept != 0) s.passed += kept;
+  if (produced != 0) s.produced += produced;
+  policy_->ObserveRun(op, n, kept, &stats_);
+}
+
+void Eddy::RouteRun() {
+  std::vector<size_t>& eligible = eligible_scratch_;
+  // run_ starts as a front segment of the pending tuples; FormRun cuts it
+  // to one stage at the first decision. Survivors of a hop share a stage
+  // again (they had one and took the same hop), so later decisions only
+  // trim the run to their reuse budget.
+  bool formed = false;
+  if (run_[0].done.size_bits() != ops_.size()) {
+    run_[0].done.Resize(ops_.size());
+  }
+  while (!run_.empty()) {
+    EligibleOps(run_[0], &eligible);
+    if (eligible.empty()) {
+      // Nothing to decide: complete the same-stage tuples already here,
+      // without gathering more from the queue (eddies with no operators
+      // for a stream would otherwise pull whole windows into run_).
+      if (!formed) FormRun(run_.size());
+      CompleteRun();
+      return;
+    }
+
+    // --- One routing decision for the run (possibly from the cache). ---
+    // The cache engages for the configured batch_size knob AND for an
+    // in-flight injected batch (batch_hint_), which amortizes one decision
+    // over the whole batch at each routing stage. The decision serves the
+    // run's head plus as many followers as the entry has reuses left.
+    const size_t reuse_span = std::max(options_.batch_size, batch_hint_);
+    size_t chosen;
+    size_t max_len = 1;
+    CachedDecision* entry = nullptr;
+    bool head_cached = false;
+    if (reuse_span > 1) {
+      const uint64_t key = StageKey(run_[0]);
+      auto it = decision_cache_.find(key);
+      if (it != decision_cache_.end() && it->second.remaining > 0 &&
+          std::find(eligible.begin(), eligible.end(), it->second.op) !=
+              eligible.end()) {
+        chosen = it->second.op;
+        --it->second.remaining;
+        head_cached = true;
+      } else {
+        chosen = policy_->Choose(eligible, stats_, cost_hints_);
+        ++decisions_;
+        it = decision_cache_.insert_or_assign(
+                                key, CachedDecision{chosen, reuse_span - 1})
+                 .first;
+      }
+      entry = &it->second;
+      max_len = 1 + entry->remaining;
     } else {
       chosen = policy_->Choose(eligible, stats_, cost_hints_);
       ++decisions_;
-      ++cache_misses_;
-      decision_cache_[key] = {chosen, reuse_span - 1};
     }
-  } else {
-    chosen = policy_->Choose(eligible, stats_, cost_hints_);
-    ++decisions_;
+    if (!formed) {
+      FormRun(max_len);
+      formed = true;
+    } else if (run_.size() > max_len) {
+      // The budget ran out mid-run: the tail waits at the queue front
+      // for a fresh decision, exactly where per-tuple routing leaves it.
+      SplitRun(max_len);
+    }
+    if (entry != nullptr) {
+      const size_t followers = run_.size() - 1;
+      entry->remaining -= followers;
+      cache_hits_ += followers + (head_cached ? 1 : 0);
+      if (!head_cached) ++cache_misses_;
+    }
+
+    // --- Apply the chosen operator, then (optionally) a fixed sequence. ---
+    int decision_src = kDecisionPolicy;
+    if (head_cached) decision_src = kDecisionCached;
+    std::vector<size_t>& ranking = ranking_scratch_;
+    bool ranking_built = false;
+    size_t applied = 0;
+    size_t next_op = chosen;
+    while (true) {
+      ApplyHop(next_op, decision_src);
+      if (run_.empty()) return;
+      EligibleOps(run_[0], &eligible);
+      if (eligible.empty()) {
+        CompleteRun();
+        return;
+      }
+      ++applied;
+      if (applied >= options_.fixed_sequence_length) break;
+
+      // Continue the fixed sequence: highest-ranked eligible operator
+      // under the decision-time snapshot, without consulting the policy.
+      if (!ranking_built) {
+        const size_t cap_before = ranking.capacity();
+        SnapshotRanking(&ranking);
+        if (ranking.capacity() != cap_before) ++scratch_allocs_;
+        ranking_built = true;
+      }
+      bool found = false;
+      for (size_t candidate : ranking) {
+        if (std::find(eligible.begin(), eligible.end(), candidate) !=
+            eligible.end()) {
+          next_op = candidate;
+          found = true;
+          break;
+        }
+      }
+      if (!found) break;
+      decision_src = kDecisionSequence;
+    }
+    // Sequence budget exhausted with the run still alive: it takes a new
+    // decision at its new stage.
   }
-
-  // --- Apply the chosen operator, then (optionally) a fixed sequence. ---
-  std::vector<size_t>& ranking = ranking_scratch_;
-  bool ranking_built = false;
-  size_t applied = 0;
-  size_t next_op = chosen;
-  while (true) {
-    ++visits_;
-    EddyOpStats& s = stats_[next_op];
-    ++s.routed;
-    EddyOpResult result = ops_[next_op]->Process(rt);
-    rt.done.Set(next_op);
-    // Alternative access methods into the same target: visiting one
-    // satisfies all, so results are never duplicated across alternatives.
-    if (groups_[next_op] >= 0) {
-      for (size_t i = 0; i < ops_.size(); ++i) {
-        if (groups_[i] == groups_[next_op]) rt.done.Set(i);
-      }
-    }
-    // One-probe rule: after any join probe the tuple is spent for joining;
-    // its outputs (probe bits cleared below) carry the remaining work.
-    if (is_probe_[next_op]) {
-      for (size_t i = 0; i < ops_.size(); ++i) {
-        if (is_probe_[i]) rt.done.Set(i);
-      }
-    }
-    if (result.pass) ++s.passed;
-    s.produced += result.outputs.size();
-    policy_->Observe(next_op, result.pass, &stats_);
-#ifndef TCQ_METRICS_DISABLED
-    if (rt.trace_id != 0) TraceHop(rt, next_op, decision_src, result.pass);
-    decision_src = kDecisionSequence;  // Further hops skip consultation.
-#endif
-
-    for (RoutedTuple& out : result.outputs) {
-      out.trace_id = rt.trace_id;  // Matches stay on their probe's trace.
-      if (out.done.size_bits() < ops_.size()) out.done.Resize(ops_.size());
-      // Join outputs probe the targets they still miss: clear inherited
-      // probe marks (eligibility keeps them away from present targets).
-      for (size_t i = 0; i < ops_.size(); ++i) {
-        if (is_probe_[i]) out.done.Clear(i);
-      }
-      queue_.push_back(std::move(out));
-    }
-
-    if (!result.pass) {  // Input consumed (dropped or absorbed).
-#ifndef TCQ_METRICS_DISABLED
-      // A traced tuple's path ends explicitly: a drop with no outputs is a
-      // dead end; an absorbing probe's trace continues on its outputs.
-      if (rt.trace_id != 0 && result.outputs.empty()) {
-        TraceEvent ev;
-        ev.trace_id = rt.trace_id;
-        ev.tuple_seq = rt.tuple.seq();
-        ev.op = "[discard]";
-        ev.decision = TraceDecision::kNone;
-        ev.passed = false;
-        ev.queue_depth = queue_.size();
-        Tracer::Global().Record(std::move(ev));
-      }
-#endif
-      return;
-    }
-
-    EligibleOps(rt, &eligible);
-    if (eligible.empty()) {
-      Complete(std::move(rt));
-      return;
-    }
-    ++applied;
-    if (applied >= options_.fixed_sequence_length) break;
-
-    // Continue the fixed sequence: highest-ranked eligible operator under
-    // the decision-time snapshot, without consulting the policy again.
-    if (!ranking_built) {
-      const size_t cap_before = ranking.capacity();
-      SnapshotRanking(&ranking);
-      if (ranking.capacity() != cap_before) ++scratch_allocs_;
-      ranking_built = true;
-    }
-    bool found = false;
-    for (size_t candidate : ranking) {
-      if (std::find(eligible.begin(), eligible.end(), candidate) !=
-          eligible.end()) {
-        next_op = candidate;
-        found = true;
-        break;
-      }
-    }
-    if (!found) break;
-  }
-
-  // Sequence budget exhausted with the tuple still alive: requeue at the
-  // front (depth-first keeps in-flight state bounded) for a new decision.
-  queue_.push_front(std::move(rt));
 }
 
 void Eddy::Drain() {
 #ifndef TCQ_METRICS_DISABLED
-  RoutingMetrics::Get().injected->Add(queue_.size());
+  RoutingMetrics::Get().injected->Add(run_.size() + queue_.size());
 #endif
-  while (!queue_.empty()) {
-    RoutedTuple rt = std::move(queue_.front());
-    queue_.pop_front();
-    RouteOne(std::move(rt));
+  while (!run_.empty() || !queue_.empty()) {
+    if (run_.empty()) {
+      run_.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+    }
+    RouteRun();
   }
   TCQ_METRIC(FlushMetrics());
   // The injected batch (if any) has fully routed: retire its amortization.

@@ -19,6 +19,16 @@ namespace tcq {
 /// connected operators until every applicable operator has handled them;
 /// tuples that then span all of the Eddy's sources are emitted to the sink.
 ///
+/// The unit of routing is a *run*: the longest front-of-queue sequence of
+/// tuples at one routing stage (equal source composition and done-set)
+/// that one decision may serve — the decision's remaining cache reuses
+/// plus one, so without a reuse span a run is a single tuple. Each hop of
+/// a run computes eligibility once, takes one decision and updates the
+/// routing statistics once, then applies the chosen operator to every
+/// tuple of the run in order. Survivors stay together for the next hop;
+/// join outputs join the back of the queue; finished tuples complete in
+/// input order.
+///
 /// "Adapting adaptivity" (§4.3) is exposed through two knobs:
 ///  * batch_size — a routing decision is reused for the next batch_size-1
 ///    tuples of the same source composition, amortizing decision cost;
@@ -85,11 +95,14 @@ class Eddy {
   /// Injects a pre-built routed tuple (shared mode sets `queries` first).
   void InjectRouted(RoutedTuple rt);
 
-  /// Batch counterpart of InjectRouted: enqueues all tuples and applies
-  /// the same one-decision-per-batch amortization as InjectBatch.
-  void InjectRoutedBatch(std::vector<RoutedTuple>&& batch);
+  /// Batch counterpart of InjectRouted: takes every tuple out of `*batch`
+  /// (leaving it empty, possibly holding a spare buffer's capacity for the
+  /// caller to refill) and applies the same one-decision-per-batch
+  /// amortization as InjectBatch. When nothing is pending the batch
+  /// becomes the first run as is, without passing through the queue.
+  void InjectRoutedBatch(std::vector<RoutedTuple>* batch);
 
-  /// Routes until the internal queue is empty.
+  /// Routes until nothing is pending.
   void Drain();
 
   /// Swaps the routing policy mid-flight (operator statistics persist).
@@ -144,15 +157,36 @@ class Eddy {
   int64_t next_seq() const { return next_seq_; }
 
  private:
+  /// Injection bookkeeping shared by every entry point: sizes the
+  /// done-set to the operator count, stamps the arrival seq (if unset)
+  /// and starts a sampled trace (if none).
+  void Stamp(RoutedTuple* rt);
+
   /// Collects indexes of operators eligible for `rt` and not yet done.
   /// Tracks scratch growth when `out` is one of the member buffers.
   void EligibleOps(const RoutedTuple& rt, std::vector<size_t>* out);
 
-  /// Routes one tuple one hop; re-enqueues it and its outputs as needed.
-  void RouteOne(RoutedTuple rt);
+  /// Routes run_ (a front segment of the pending tuples, not yet known to
+  /// share one stage) until every tuple of the run it forms has finished.
+  void RouteRun();
 
-  /// Emits or discards a tuple that no operator wants anymore.
-  void Complete(RoutedTuple&& rt);
+  /// Cuts run_ to its longest same-stage prefix of at most `max_len`
+  /// tuples, returning the rest to the queue front in order; when all of
+  /// run_ is one stage and short of `max_len`, extends it with same-stage
+  /// tuples from the queue front.
+  void FormRun(size_t max_len);
+
+  /// Returns run_[n..] to the queue front, in order, keeping run_[0..n).
+  void SplitRun(size_t n);
+
+  /// Applies operator `op` to every tuple of the run in order, keeps the
+  /// survivors in place, queues join outputs and records the hop's
+  /// statistics once. `decision_src` is how the run's head was routed.
+  void ApplyHop(size_t op, int decision_src);
+
+  /// Emits or discards, in order, every tuple of the run (which no
+  /// operator wants anymore) and empties it.
+  void CompleteRun();
 
   /// Decision-time ranking used to fix operator sequences: ops sorted by
   /// tickets/cost descending, written into the reusable `*out` scratch.
@@ -164,7 +198,13 @@ class Eddy {
 
   std::vector<EddyOperatorPtr> ops_;
   std::vector<int> groups_;
-  std::vector<bool> is_probe_;
+  /// Per operator: the done bits a visit to it sets — itself, every
+  /// member of its alternatives group, and (one-probe rule) every join
+  /// probe when it is one. Maintained by AddOperator.
+  std::vector<SmallBitset> hop_masks_;
+  /// Every join probe: cleared from join outputs, which still probe the
+  /// targets they miss.
+  SmallBitset probe_mask_;
   std::vector<EddyOpStats> stats_;
   std::vector<double> cost_hints_;
   int64_t next_seq_ = 1;
@@ -173,6 +213,10 @@ class Eddy {
   /// oscillates around empty once per Drain, so deque chunk churn would
   /// otherwise hit the allocator every injection burst.
   std::deque<RoutedTuple, PoolAllocator<RoutedTuple>> queue_;
+  /// The run being routed, ahead of queue_ in arrival order. Between
+  /// Drains it may hold an injected batch handed over whole
+  /// (InjectRoutedBatch); its capacity is reused from run to run.
+  std::vector<RoutedTuple> run_;
   std::function<void(RoutedTuple&&)> sink_;
   std::function<void(RoutedTuple&&)> partial_sink_;
 

@@ -57,6 +57,11 @@ class EddyOperator {
   /// independent of routing order [MSHR02].
   virtual bool IsJoinProbe() const { return false; }
 
+  /// Publishes operator-local counters onto the global metric registry.
+  /// The Eddy calls it once per Drain, so an operator can count per tuple
+  /// in plain fields instead of shared atomics.
+  virtual void FlushMetrics() {}
+
  private:
   std::string name_;
 };

@@ -6,13 +6,12 @@
 
 namespace tcq {
 
-void RoutingPolicy::Observe(size_t op, bool passed,
-                            std::vector<EddyOpStats>* stats) {
+void RoutingPolicy::ObserveRun(size_t op, uint64_t routed, uint64_t passed,
+                               std::vector<EddyOpStats>* stats) {
   // Default ticket bookkeeping (used even by policies that ignore it, so
   // that switching policies mid-run starts from live statistics).
   EddyOpStats& s = (*stats)[op];
-  s.tickets += 1.0;
-  if (passed) s.tickets -= 1.0;
+  s.tickets += static_cast<double>(routed - passed);
   if (s.tickets < 0.0) s.tickets = 0.0;
 }
 
@@ -67,17 +66,19 @@ size_t LotteryPolicy::Choose(const std::vector<size_t>& eligible,
   return eligible.back();
 }
 
-void LotteryPolicy::Observe(size_t op, bool passed,
-                            std::vector<EddyOpStats>* stats) {
-  EddyOpStats& s = (*stats)[op];
-  s.tickets += 1.0;
-  if (passed) s.tickets -= 1.0;
-  if (s.tickets < 0.0) s.tickets = 0.0;
-  if (s.tickets > options_.max_tickets) s.tickets = options_.max_tickets;
+void LotteryPolicy::ObserveRun(size_t op, uint64_t routed, uint64_t passed,
+                               std::vector<EddyOpStats>* stats) {
+  // Decay first, then credit: the credits are then a plain capped sum, so
+  // one observation of a run and one per tuple give identical tickets.
   if (options_.decay_interval > 0 && decisions_ > 0 &&
-      decisions_ % options_.decay_interval == 0) {
+      decisions_ % options_.decay_interval == 0 && decayed_at_ != decisions_) {
+    decayed_at_ = decisions_;
     for (EddyOpStats& t : *stats) t.tickets *= options_.decay;
   }
+  EddyOpStats& s = (*stats)[op];
+  s.tickets += static_cast<double>(routed - passed);
+  if (s.tickets < 0.0) s.tickets = 0.0;
+  if (s.tickets > options_.max_tickets) s.tickets = options_.max_tickets;
 }
 
 std::unique_ptr<RoutingPolicy> MakePolicy(const std::string& name,

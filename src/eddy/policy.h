@@ -25,10 +25,18 @@ class RoutingPolicy {
                         const std::vector<EddyOpStats>& stats,
                         const std::vector<double>& cost_hints) = 0;
 
-  /// Feedback after the visit: tuple was routed to `op`; `passed` tells
-  /// whether the input survived. Default updates lottery tickets.
-  virtual void Observe(size_t op, bool passed,
-                       std::vector<EddyOpStats>* stats);
+  /// Feedback after one hop of a run: `routed` tuples visited `op` and
+  /// `passed` of them survived. The Eddy reports each hop of a same-stage
+  /// run once, so the ticket arithmetic must be additive: observing a run
+  /// once leaves exactly the tickets that observing its tuples one at a
+  /// time would. Default: tickets += routed - passed, floored at zero.
+  virtual void ObserveRun(size_t op, uint64_t routed, uint64_t passed,
+                          std::vector<EddyOpStats>* stats);
+
+  /// One-tuple form of ObserveRun.
+  void Observe(size_t op, bool passed, std::vector<EddyOpStats>* stats) {
+    ObserveRun(op, 1, passed ? 1 : 0, stats);
+  }
 };
 
 /// Static-plan baseline: always the first eligible operator in a fixed
@@ -64,8 +72,10 @@ class RandomPolicy : public RoutingPolicy {
 /// Lottery scheduling from [AH00]: each operator holds tickets — credited
 /// when a tuple is routed to it, debited when the tuple is returned
 /// (passes). Selective operators accumulate tickets and win more lotteries,
-/// so tuples visit them first. Tickets decay by `decay` every
-/// `decay_interval` routings, keeping a finite horizon so the policy
+/// so tuples visit them first. Tickets decay by `decay` once every
+/// `decay_interval` decisions (on the first observation after the decision
+/// count reaches a multiple of the interval, however many observations a
+/// cached decision then serves), keeping a finite horizon so the policy
 /// re-adapts when selectivities drift mid-stream. Ticket weight is divided
 /// by the operator's cost hint so expensive operators are deferred.
 class LotteryPolicy : public RoutingPolicy {
@@ -91,13 +101,16 @@ class LotteryPolicy : public RoutingPolicy {
   size_t Choose(const std::vector<size_t>& eligible,
                 const std::vector<EddyOpStats>& stats,
                 const std::vector<double>& cost_hints) override;
-  void Observe(size_t op, bool passed,
-               std::vector<EddyOpStats>* stats) override;
+  void ObserveRun(size_t op, uint64_t routed, uint64_t passed,
+                  std::vector<EddyOpStats>* stats) override;
 
  private:
   Rng rng_;
   Options options_;
   uint64_t decisions_ = 0;
+  /// decisions_ value at the last decay, so one interval crossing decays
+  /// once, not once per observation while decisions_ stays on it.
+  uint64_t decayed_at_ = 0;
   /// Reused across Choose calls — one routing decision per tuple (or per
   /// batch) must not cost a heap allocation.
   std::vector<double> weights_scratch_;

@@ -222,7 +222,7 @@ void GroupedFilter::RebuildIndex() const {
 
 void GroupedFilter::Apply(const Value& v, SmallBitset* candidates) const {
   if (num_predicates_ == 0) return;
-  TCQ_METRIC(AppliesCounter()->Add(1));
+  ++applies_;
   TCQ_DCHECK(candidates->size_bits() >= totals_.size());
   if (dirty_) RebuildIndex();
 
@@ -247,6 +247,11 @@ void GroupedFilter::Apply(const Value& v, SmallBitset* candidates) const {
   fail_scratch_ = has_pred_;
   fail_scratch_ -= pass_scratch_;
   candidates->SubtractPrefix(fail_scratch_);
+}
+
+void GroupedFilter::FlushMetrics() {
+  TCQ_METRIC(AppliesCounter()->Add(applies_ - flushed_applies_));
+  flushed_applies_ = applies_;
 }
 
 SmallBitset GroupedFilter::Matching(const Value& v) const {

@@ -68,6 +68,14 @@ class GroupedFilter {
   size_t num_predicates() const { return num_predicates_; }
   bool empty() const { return num_predicates_ == 0; }
 
+  /// Publishes the Apply calls that ran the index since the last flush
+  /// onto the `tcq.grouped_filter.applies` registry counter. Applies are
+  /// counted in a plain field: a process-wide atomic bumped per Apply is
+  /// one cache line every shard thread writes several times per tuple.
+  /// The owning Eddy flushes once per Drain (through GroupedFilterOp);
+  /// standalone users flush when they want their applies in the registry.
+  void FlushMetrics();
+
   /// Index introspection for tests: compilations performed so far,
   /// whether the next Apply will recompile, and the elementary-region
   /// count (2·#distinct-bounds + 1) of the current index.
@@ -102,6 +110,8 @@ class GroupedFilter {
   // is const; single-owner-thread discipline).
   mutable bool dirty_ = false;
   mutable uint64_t rebuilds_ = 0;
+  mutable uint64_t applies_ = 0;
+  uint64_t flushed_applies_ = 0;
   mutable std::vector<Value> bounds_;  ///< Sorted distinct range constants.
   mutable std::vector<SmallBitset> region_pass_;  ///< 2k+1 pass-bitsets.
   mutable SmallBitset no_eq_;  ///< Queries with factors but no = factor.

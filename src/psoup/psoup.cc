@@ -241,6 +241,7 @@ void PSoup::OnData(const Tuple& tuple) {
   TCQ_METRIC(PsoupMetrics::Get().data_in->Add(1));
   // Probe the Query SteM; materialize into each match's results.
   SmallBitset matches = MatchQueries(tuple);
+  for (auto& [col, gf] : filter_index_) gf.FlushMetrics();
   matches.ForEachSet([&](size_t q) {
     if (q < queries_.size() && queries_[q].active) {
       InsertByTimestamp(&queries_[q].results, tuple);

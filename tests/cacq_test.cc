@@ -200,6 +200,111 @@ TEST(CacqEngineTest, SingleStreamQueriesAlongsideJoinQueries) {
   EXPECT_EQ(hits[*jq], 2);
 }
 
+// Per-query delivery sequences: query -> rows in delivery order.
+using Deliveries = std::map<QueryId, std::vector<std::string>>;
+
+TEST(CacqEngineTest, FilterBatchDeliversEachQueryInInputOrder) {
+  // A batch routes as runs; each query must still receive its rows in the
+  // batch's input order — the exact sequence single-tuple injection gives.
+  auto run = [](bool batched) {
+    CacqEngine engine;
+    EXPECT_TRUE(engine.AddStream("Stocks", StockSchema()).ok());
+    Deliveries out;
+    engine.SetSink([&](QueryId q, const Tuple& t) {
+      out[q].push_back(t.ToString());
+    });
+    const char* syms[] = {"MSFT", "IBM", "ORCL"};
+    for (int i = 0; i < 12; ++i) {
+      CacqQuerySpec q;
+      q.sources = {"Stocks"};
+      q.where = Expr::Binary(BinaryOp::kAnd, SymEq(syms[i % 3]),
+                             PriceGt(10.0 * (i % 4)));
+      EXPECT_TRUE(engine.AddQuery(q).ok());
+    }
+    Rng rng(21);
+    std::vector<Tuple> batch;
+    for (int64_t ts = 1; ts <= 200; ++ts) {
+      batch.push_back(Stock(ts, syms[rng.NextBounded(3)],
+                            static_cast<double>(rng.NextBounded(50))));
+      if (batch.size() == 64 || ts == 200) {
+        if (batched) {
+          EXPECT_TRUE(engine.InjectBatch("Stocks", batch).ok());
+        } else {
+          for (const Tuple& t : batch) {
+            EXPECT_TRUE(engine.Inject("Stocks", t).ok());
+          }
+        }
+        batch.clear();
+      }
+    }
+    return out;
+  };
+  const Deliveries single = run(false);
+  const Deliveries batched = run(true);
+  ASSERT_EQ(single.size(), 12u);
+  EXPECT_EQ(batched, single);  // Ordered comparison per query.
+}
+
+TEST(CacqEngineTest, JoinBatchDeliversLikeSingleInjection) {
+  // Two-source SteM join (plus a selection on each side): alternating
+  // same-source batches must deliver every query's rows in the order
+  // single-tuple injection does.
+  auto run = [](bool batched) {
+    CacqEngine engine;
+    SchemaPtr ab = Schema::Make(
+        {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
+    EXPECT_TRUE(engine.AddStream("A", ab).ok());
+    EXPECT_TRUE(engine.AddStream("B", ab).ok());
+    Deliveries out;
+    engine.SetSink([&](QueryId q, const Tuple& t) {
+      out[q].push_back(t.ToString());
+    });
+    CacqQuerySpec join;
+    join.sources = {"A", "B"};
+    join.where = Expr::Binary(
+        BinaryOp::kAnd,
+        Expr::Binary(BinaryOp::kEq, Expr::Column("A.k"), Expr::Column("B.k")),
+        Expr::Binary(BinaryOp::kGt, Expr::Column("A.v"),
+                     Expr::Literal(Value::Int64(3))));
+    CacqQuerySpec sel_a;
+    sel_a.sources = {"A"};
+    sel_a.where = Expr::Binary(BinaryOp::kLt, Expr::Column("A.v"),
+                               Expr::Literal(Value::Int64(6)));
+    CacqQuerySpec sel_b;
+    sel_b.sources = {"B"};
+    sel_b.where = Expr::Binary(BinaryOp::kGt, Expr::Column("B.v"),
+                               Expr::Literal(Value::Int64(2)));
+    EXPECT_TRUE(engine.AddQuery(join).ok());
+    EXPECT_TRUE(engine.AddQuery(sel_a).ok());
+    EXPECT_TRUE(engine.AddQuery(sel_b).ok());
+    Rng rng(33);
+    Timestamp ts = 0;
+    for (int round = 0; round < 8; ++round) {
+      const std::string stream = round % 2 == 0 ? "A" : "B";
+      std::vector<Tuple> batch;
+      for (int i = 0; i < 24; ++i) {
+        batch.push_back(Tuple::Make(
+            {Value::Int64(static_cast<int64_t>(rng.NextBounded(6))),
+             Value::Int64(static_cast<int64_t>(rng.NextBounded(10)))},
+            ++ts));
+      }
+      if (batched) {
+        EXPECT_TRUE(engine.InjectBatch(stream, batch).ok());
+      } else {
+        for (const Tuple& t : batch) {
+          EXPECT_TRUE(engine.Inject(stream, t).ok());
+        }
+      }
+    }
+    return out;
+  };
+  const Deliveries single = run(false);
+  const Deliveries batched = run(true);
+  ASSERT_EQ(single.size(), 3u);
+  EXPECT_FALSE(single.at(0).empty());  // The join produced matches.
+  EXPECT_EQ(batched, single);
+}
+
 TEST(CacqEngineTest, EvictBeforeLimitsJoinState) {
   CacqEngine engine;
   SchemaPtr ab =

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "eddy/operators.h"
+#include "telemetry/trace.h"
 
 namespace tcq {
 namespace {
@@ -241,6 +246,215 @@ TEST(EddyTest, FixedSequenceReducesDecisions) {
   };
   EXPECT_GT(run(1), run(4) * 3);
 }
+
+// --- Run-at-a-time routing ------------------------------------------------
+
+/// Three always-true filters on one source: every tuple passes all three
+/// hops, so a batch stays one run through three routing stages.
+struct ThreeFilterEddy {
+  SingleSourceFixture fx;
+  std::unique_ptr<Eddy> eddy;
+  std::vector<int64_t> emitted;
+
+  ThreeFilterEddy(std::unique_ptr<RoutingPolicy> policy, size_t batch_size) {
+    Eddy::Options opts;
+    opts.batch_size = batch_size;
+    eddy = std::make_unique<Eddy>(&fx.layout, std::move(policy), opts);
+    ExprPtr truth = Expr::Literal(Value::Bool(true));
+    for (int i = 0; i < 3; ++i) {
+      eddy->AddOperator(std::make_shared<FilterOp>("f" + std::to_string(i),
+                                                   truth, fx.SourceSet()));
+    }
+    eddy->SetSink([this](RoutedTuple&& rt) {
+      emitted.push_back(rt.tuple.cell(0).int64_value());
+    });
+  }
+};
+
+TEST(EddyRunTest, BatchAtOneStageCostsOneDecisionPerStage) {
+  ThreeFilterEddy e(std::make_unique<LotteryPolicy>(3), /*batch_size=*/1);
+  std::vector<Tuple> batch;
+  for (int64_t k = 0; k < 64; ++k) batch.push_back(KVTuple(k, k));
+  e.eddy->InjectBatch(e.fx.s, batch);
+  e.eddy->Drain();
+  // Three stages, each: one policy decision (a cache miss) for the run's
+  // head, then 63 reuses.
+  EXPECT_EQ(e.eddy->decisions(), 3u);
+  EXPECT_EQ(e.eddy->decision_cache_misses(), 3u);
+  EXPECT_EQ(e.eddy->decision_cache_hits(), 3u * 63u);
+  EXPECT_EQ(e.eddy->visits(), 3u * 64u);
+  ASSERT_EQ(e.emitted.size(), 64u);
+  for (int64_t k = 0; k < 64; ++k) {
+    EXPECT_EQ(e.emitted[static_cast<size_t>(k)], k);  // Input order.
+  }
+}
+
+TEST(EddyRunTest, SingleInjectsWithoutReuseSpanDrawPerTuple) {
+  // 64 single injections drained together: with batch_size 1 there is no
+  // reuse span, so each tuple is a run of one and draws its own decision
+  // at every stage — queued same-stage neighbours are not folded in.
+  ThreeFilterEddy e(std::make_unique<LotteryPolicy>(3), /*batch_size=*/1);
+  for (int64_t k = 0; k < 64; ++k) e.eddy->Inject(e.fx.s, KVTuple(k, k));
+  e.eddy->Drain();
+  EXPECT_EQ(e.eddy->decisions(), 3u * 64u);
+  EXPECT_EQ(e.eddy->decision_cache_hits(), 0u);
+  EXPECT_EQ(e.eddy->decision_cache_misses(), 0u);
+  ASSERT_EQ(e.emitted.size(), 64u);
+  for (int64_t k = 0; k < 64; ++k) {
+    EXPECT_EQ(e.emitted[static_cast<size_t>(k)], k);
+  }
+}
+
+TEST(EddyRunTest, BatchSizeKnobBoundsTheRun) {
+  // batch_size 16 over 60 queued singles: a decision serves its tuple and
+  // up to 15 reuses, so the runs are 16, 16, 16 and 12 long — 4 decisions
+  // and 56 hits per stage, the counts per-tuple routing through the same
+  // cache records. Each stage's entry keeps 4 reuses.
+  ThreeFilterEddy e(std::make_unique<LotteryPolicy>(3), /*batch_size=*/16);
+  for (int64_t k = 0; k < 60; ++k) e.eddy->Inject(e.fx.s, KVTuple(k, k));
+  e.eddy->Drain();
+  EXPECT_EQ(e.eddy->decisions(), 3u * 4u);
+  EXPECT_EQ(e.eddy->decision_cache_misses(), 3u * 4u);
+  EXPECT_EQ(e.eddy->decision_cache_hits(), 3u * 56u);
+
+  // The leftover budget carries into the next Drain: a 64-tuple batch's
+  // first 4 tuples reuse those entries, and the run splits there; the
+  // other 60 take one fresh decision per stage sized to the batch.
+  std::vector<Tuple> batch;
+  for (int64_t k = 60; k < 124; ++k) batch.push_back(KVTuple(k, k));
+  e.eddy->InjectBatch(e.fx.s, batch);
+  e.eddy->Drain();
+  EXPECT_EQ(e.eddy->decisions(), 3u * 5u);
+  EXPECT_EQ(e.eddy->decision_cache_misses(), 3u * 5u);
+  EXPECT_EQ(e.eddy->decision_cache_hits(), 3u * (56u + 4u + 59u));
+  EXPECT_EQ(e.eddy->visits(), 3u * 124u);
+  ASSERT_EQ(e.emitted.size(), 124u);
+  for (int64_t k = 0; k < 124; ++k) {
+    EXPECT_EQ(e.emitted[static_cast<size_t>(k)], k);
+  }
+}
+
+TEST(EddyRunTest, RunStatisticsMatchPerTupleRouting) {
+  // Under a fixed policy a batch and single injections take the same path
+  // per tuple, so every per-run count must add up to the per-tuple ones;
+  // each per-tuple decision becomes either a run decision or a reuse.
+  auto run = [](bool batched) {
+    SingleSourceFixture fx;
+    auto eddy = std::make_unique<Eddy>(
+        &fx.layout, std::make_unique<FixedPolicy>(std::vector<size_t>{}));
+    auto bind = [&](ExprPtr e) { return fx.BindOrDie(std::move(e)); };
+    eddy->AddOperator(std::make_shared<FilterOp>(
+        "k%3", bind(Expr::Binary(
+                   BinaryOp::kNe,
+                   Expr::Binary(BinaryOp::kMod, Expr::Column("k"),
+                                Expr::Literal(Value::Int64(3))),
+                   Expr::Literal(Value::Int64(0)))),
+        fx.SourceSet()));
+    eddy->AddOperator(std::make_shared<FilterOp>(
+        "k<50", bind(Expr::Binary(BinaryOp::kLt, Expr::Column("k"),
+                                  Expr::Literal(Value::Int64(50)))),
+        fx.SourceSet()));
+    std::vector<Tuple> batch;
+    for (int64_t k = 0; k < 64; ++k) batch.push_back(KVTuple(k, k));
+    if (batched) {
+      eddy->InjectBatch(fx.s, batch);
+      eddy->Drain();
+    } else {
+      for (const Tuple& t : batch) {
+        eddy->Inject(fx.s, t);
+        eddy->Drain();
+      }
+    }
+    return eddy;
+  };
+  auto single = run(false);
+  auto batched = run(true);
+  EXPECT_EQ(batched->visits(), single->visits());
+  EXPECT_EQ(batched->emitted(), single->emitted());
+  EXPECT_EQ(batched->decisions() + batched->decision_cache_hits(),
+            single->decisions());
+  ASSERT_EQ(batched->op_stats().size(), single->op_stats().size());
+  for (size_t i = 0; i < single->op_stats().size(); ++i) {
+    const EddyOpStats& a = batched->op_stats()[i];
+    const EddyOpStats& b = single->op_stats()[i];
+    EXPECT_EQ(a.routed, b.routed) << i;
+    EXPECT_EQ(a.passed, b.passed) << i;
+    EXPECT_EQ(a.produced, b.produced) << i;
+  }
+}
+
+#ifndef TCQ_METRICS_DISABLED
+TEST(EddyRunTest, SampledTupleInsideBatchTracesLikeAlone) {
+  // Every tuple is sampled; a fixed policy gives each tuple the same path
+  // whether it routes inside a batch or alone, so each trace must list
+  // the same hops and end on the same [emit]/[discard] marker.
+  struct Hop {
+    std::string op;
+    bool passed;
+    TraceDecision decision;
+  };
+  auto trace = [](bool batched) {
+    Tracer& tr = Tracer::Global();
+    tr.Enable(/*sample_every=*/1);
+    tr.ResetForTest();
+    SingleSourceFixture fx;
+    Eddy eddy(&fx.layout,
+              std::make_unique<FixedPolicy>(std::vector<size_t>{}));
+    eddy.AddOperator(std::make_shared<FilterOp>(
+        "k>=2",
+        fx.BindOrDie(Expr::Binary(BinaryOp::kGe, Expr::Column("k"),
+                                  Expr::Literal(Value::Int64(2)))),
+        fx.SourceSet()));
+    eddy.AddOperator(std::make_shared<FilterOp>(
+        "even",
+        fx.BindOrDie(Expr::Binary(
+            BinaryOp::kEq,
+            Expr::Binary(BinaryOp::kMod, Expr::Column("k"),
+                         Expr::Literal(Value::Int64(2))),
+            Expr::Literal(Value::Int64(0)))),
+        fx.SourceSet()));
+    eddy.SetSink([](RoutedTuple&&) {});
+    std::vector<Tuple> batch;
+    for (int64_t k = 0; k < 8; ++k) batch.push_back(KVTuple(k, k));
+    if (batched) {
+      eddy.InjectBatch(fx.s, batch);
+      eddy.Drain();
+    } else {
+      for (const Tuple& t : batch) {
+        eddy.Inject(fx.s, t);
+        eddy.Drain();
+      }
+    }
+    std::map<int64_t, std::vector<Hop>> by_tuple;
+    for (const TraceEvent& ev : tr.Drain()) {
+      by_tuple[ev.tuple_seq].push_back({ev.op, ev.passed, ev.decision});
+    }
+    tr.Disable();
+    tr.ResetForTest();
+    return by_tuple;
+  };
+  const auto alone = trace(false);
+  const auto batched = trace(true);
+  ASSERT_EQ(alone.size(), 8u);
+  ASSERT_EQ(batched.size(), alone.size());
+  for (const auto& [seq, hops] : alone) {
+    const auto it = batched.find(seq);
+    ASSERT_NE(it, batched.end()) << seq;
+    ASSERT_EQ(it->second.size(), hops.size()) << seq;
+    for (size_t h = 0; h < hops.size(); ++h) {
+      EXPECT_EQ(it->second[h].op, hops[h].op) << seq;
+      EXPECT_EQ(it->second[h].passed, hops[h].passed) << seq;
+    }
+    const std::string& terminal = hops.back().op;
+    EXPECT_TRUE(terminal == "[emit]" || terminal == "[discard]") << seq;
+  }
+  // Alone, every hop is a policy draw; in the batch only the run's head
+  // (the first tuple, seq 1) draws and the others reuse its decision.
+  EXPECT_EQ(alone.at(4).front().decision, TraceDecision::kPolicy);
+  EXPECT_EQ(batched.at(1).front().decision, TraceDecision::kPolicy);
+  EXPECT_EQ(batched.at(4).front().decision, TraceDecision::kCached);
+}
+#endif  // TCQ_METRICS_DISABLED
 
 TEST(EddyTest, DynamicOperatorAddition) {
   SingleSourceFixture fx;

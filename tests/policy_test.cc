@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace tcq {
 namespace {
 
@@ -96,6 +98,52 @@ TEST(PolicyTest, DecayForgetsHistory) {
     policy.Observe(0, true, &stats);
   }
   EXPECT_LT(stats[0].tickets, 10.0);
+}
+
+TEST(PolicyTest, DecayOncePerIntervalCrossing) {
+  // A cached decision serves a whole batch: decision 128 (on the default
+  // decay interval) followed by 64 tuples x 3 hops of observations. The
+  // balance must decay once for that interval, not once per observation.
+  LotteryPolicy policy(3);
+  auto stats = MakeStats(1);
+  std::vector<double> costs{1};
+  for (int i = 0; i < 128; ++i) policy.Choose({0}, stats, costs);
+  stats[0].tickets = 128.0;
+  for (int i = 0; i < 190; ++i) policy.Observe(0, /*passed=*/true, &stats);
+  EXPECT_DOUBLE_EQ(stats[0].tickets, 128.0 * 0.9);
+  // The next crossing decays again, once.
+  for (int i = 0; i < 128; ++i) policy.Choose({0}, stats, costs);
+  for (int i = 0; i < 190; ++i) policy.Observe(0, /*passed=*/true, &stats);
+  EXPECT_DOUBLE_EQ(stats[0].tickets, 128.0 * 0.9 * 0.9);
+}
+
+TEST(PolicyTest, RunObservationMatchesPerTupleObservations) {
+  // The eddy observes each hop of a run once. The tickets must equal what
+  // observing the run's tuples one at a time gives, through decays and
+  // the max_tickets cap.
+  LotteryPolicy::Options opts;
+  opts.decay_interval = 4;
+  LotteryPolicy per_tuple(5, opts);
+  LotteryPolicy per_run(5, opts);
+  auto a = MakeStats(2);
+  auto b = MakeStats(2);
+  a[0].tickets = b[0].tickets = 150.0;
+  a[1].tickets = b[1].tickets = 3.0;
+  std::vector<double> costs{1, 1};
+  Rng rng(9);
+  for (int round = 0; round < 40; ++round) {
+    const size_t op = per_tuple.Choose({0, 1}, a, costs);
+    ASSERT_EQ(per_run.Choose({0, 1}, b, costs), op) << round;
+    const uint64_t routed = 1 + rng.NextBounded(64);
+    const uint64_t passed = rng.NextBounded(routed + 1);
+    for (uint64_t i = 0; i < routed; ++i) {
+      per_tuple.Observe(op, /*passed=*/i < passed, &a);
+    }
+    per_run.ObserveRun(op, routed, passed, &b);
+    EXPECT_EQ(a[0].tickets, b[0].tickets) << round;
+    EXPECT_EQ(a[1].tickets, b[1].tickets) << round;
+  }
+  EXPECT_LE(a[0].tickets, opts.max_tickets);
 }
 
 TEST(PolicyTest, ExplorationFloorKeepsStarvedOpAlive) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "cacq/engine.h"
 #include "common/clock.h"
 #include "common/logging.h"
 #include "eddy/eddy.h"
@@ -239,6 +240,49 @@ TEST_F(TracerTest, UntracedTuplesRecordNothing) {
   eddy.Drain();
   EXPECT_TRUE(tr.Drain().empty());
   EXPECT_EQ(tr.sampled(), 0u);
+}
+
+TEST(MetricsTest, GroupedFilterAppliesFlushedPerDrain) {
+  // Grouped filters count applies locally and the eddy publishes them once
+  // per Drain: after each injection the registry moved by exactly the
+  // visits the eddy routed to its grouped-filter operators.
+  Counter* applies =
+      MetricRegistry::Global().GetCounter("tcq.grouped_filter.applies");
+  CacqEngine engine;
+  ASSERT_TRUE(engine
+                  .AddStream("S", Schema::Make({{"a", ValueType::kInt64, ""},
+                                                {"b", ValueType::kInt64, ""}}))
+                  .ok());
+  for (int64_t i = 0; i < 6; ++i) {
+    CacqQuerySpec q;
+    q.sources = {"S"};
+    q.where = Expr::Binary(
+        BinaryOp::kAnd,
+        Expr::Binary(BinaryOp::kGt, Expr::Column("a"),
+                     Expr::Literal(Value::Int64(i))),
+        Expr::Binary(BinaryOp::kLt, Expr::Column("b"),
+                     Expr::Literal(Value::Int64(10 - i))));
+    ASSERT_TRUE(engine.AddQuery(q).ok());
+  }
+  auto gf_visits = [&engine] {
+    uint64_t n = 0;
+    for (size_t i = 0; i < engine.eddy().num_operators(); ++i) {
+      if (engine.eddy().op(i)->name().rfind("gf[", 0) == 0) {
+        n += engine.eddy().op_stats()[i].routed;
+      }
+    }
+    return n;
+  };
+  std::vector<Tuple> batch;
+  for (int64_t k = 0; k < 64; ++k) {
+    batch.push_back(Tuple::Make({Value::Int64(k % 8), Value::Int64(k % 12)}, k));
+  }
+  const uint64_t before = applies->value();
+  ASSERT_TRUE(engine.InjectBatch("S", batch).ok());
+  EXPECT_GT(gf_visits(), 64u);  // Both columns' filters ran.
+  EXPECT_EQ(applies->value() - before, gf_visits());
+  ASSERT_TRUE(engine.Inject("S", batch[5]).ok());
+  EXPECT_EQ(applies->value() - before, gf_visits());
 }
 #endif  // TCQ_METRICS_DISABLED
 
