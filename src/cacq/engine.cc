@@ -207,16 +207,24 @@ Status CacqEngine::AddQueryAt(QueryId qid, const CacqQuerySpec& spec) {
     info.residual_ops.push_back(op);
   }
   info.active = true;
-  info.speculative = spec.speculative;
   info.footprint.ForEachSet([&](size_t s) {
     if (interested_[s].size_bits() <= qid) interested_[s].Resize(qid + 1);
     interested_[s].Set(qid);
   });
-  if (delayed_queries_.size_bits() <= qid) {
-    delayed_queries_.Resize(qid + 1);
-    speculative_queries_.Resize(qid + 1);
+  for (SmallBitset& lane : lane_queries_) {
+    if (lane.size_bits() <= qid) lane.Resize(qid + 1);
   }
-  (spec.speculative ? speculative_queries_ : delayed_queries_).Set(qid);
+  if (spec.speculative) {
+    lane_queries_[static_cast<size_t>(IngressLane::kArrival)].Set(qid);
+    lane_queries_[static_cast<size_t>(IngressLane::kSpeculative)].Set(qid);
+  } else {
+    // A single-source delayed query holds no state: routing the raw
+    // arrival and releasing its rows in timestamp order later equals
+    // routing the release feed. A join's SteMs must see the releases.
+    const IngressLane lane = info.footprint.Count() > 1 ? IngressLane::kReleased
+                                                        : IngressLane::kArrival;
+    lane_queries_[static_cast<size_t>(lane)].Set(qid);
+  }
   if (qid >= queries_.size()) {
     for (QueryId s = static_cast<QueryId>(queries_.size()); s < qid; ++s) {
       free_slots_.insert(s);
@@ -245,8 +253,9 @@ Status CacqEngine::RemoveQuery(QueryId q) {
   for (SmallBitset& bits : interested_) {
     if (q < bits.size_bits()) bits.Clear(q);
   }
-  if (q < delayed_queries_.size_bits()) delayed_queries_.Clear(q);
-  if (q < speculative_queries_.size_bits()) speculative_queries_.Clear(q);
+  for (SmallBitset& lane : lane_queries_) {
+    if (q < lane.size_bits()) lane.Clear(q);
+  }
   info = QueryInfo();  // Drops the residual-op references; slot reusable.
   free_slots_.insert(q);
   return Status::OK();
@@ -259,19 +268,11 @@ Status CacqEngine::Inject(const std::string& stream, const Tuple& tuple,
     return Status::NotFound("unknown stream: " + stream);
   }
   RoutedTuple rt;
+  rt.queries = LaneSeed(s, lane);
+  if (rt.queries.None()) return Status::OK();  // Nobody is listening.
   rt.tuple = layout_.Widen(s, tuple);
   rt.sources.Resize(layout_.num_sources());
   rt.sources.Set(s);
-  rt.queries = interested_[s];
-  rt.queries.Resize(queries_.size());
-  if (lane != IngressLane::kAll) {
-    SmallBitset lane_set = lane == IngressLane::kSpeculative
-                               ? speculative_queries_
-                               : delayed_queries_;
-    lane_set.Resize(queries_.size());
-    rt.queries &= lane_set;
-  }
-  if (rt.queries.None()) return Status::OK();  // Nobody is listening.
   eddy_->InjectRouted(std::move(rt));
   eddy_->Drain();
   return Status::OK();
@@ -292,16 +293,9 @@ Status CacqEngine::InjectBatch(size_t s, const std::vector<Tuple>& batch,
   if (s >= layout_.num_sources()) {
     return Status::OutOfRange("source index out of range");
   }
-  SmallBitset interested = interested_[s];
-  interested.Resize(queries_.size());
-  if (lane != IngressLane::kAll) {
-    SmallBitset lane_set = lane == IngressLane::kSpeculative
-                               ? speculative_queries_
-                               : delayed_queries_;
-    lane_set.Resize(queries_.size());
-    interested &= lane_set;
-  }
-  if (interested.None() || batch.empty()) return Status::OK();
+  if (batch.empty()) return Status::OK();
+  const SmallBitset interested = LaneSeed(s, lane);
+  if (interested.None()) return Status::OK();
   // Built in place in a buffer the eddy adopts as its first run; the
   // buffer handed back is refilled by the next batch.
   for (const Tuple& tuple : batch) {
@@ -314,6 +308,17 @@ Status CacqEngine::InjectBatch(size_t s, const std::vector<Tuple>& batch,
   eddy_->InjectRoutedBatch(&staged_);
   eddy_->Drain();
   return Status::OK();
+}
+
+SmallBitset CacqEngine::LaneSeed(size_t s, IngressLane lane) const {
+  SmallBitset seed = interested_[s];
+  seed.Resize(queries_.size());
+  if (lane != IngressLane::kAll) {
+    SmallBitset reached = lane_queries_[static_cast<size_t>(lane)];
+    reached.Resize(queries_.size());
+    seed &= reached;
+  }
+  return seed;
 }
 
 void CacqEngine::EvictBefore(Timestamp ts) {

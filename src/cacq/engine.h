@@ -27,11 +27,12 @@ struct CacqQuerySpec {
   /// SteM joins; single-column factors enter grouped filters; everything
   /// else becomes per-query residual work.
   ExprPtr where;
-  /// CEDR consistency level (DESIGN.md §15): false = delayed-but-correct
-  /// (the query consumes the reorder-buffer release feed — IngressLane::
-  /// kDelayed), true = speculative (it consumes raw arrivals as they come
-  /// — IngressLane::kSpeculative — and may see retraction-signed tuples).
-  /// Irrelevant until the server feeds the engine through both lanes.
+  /// CEDR consistency level (DESIGN.md §15): false = delayed-but-correct,
+  /// true = speculative (may see retraction-signed tuples). It selects
+  /// the IngressLanes that seed the query: a speculative query sees
+  /// kArrival and kSpeculative; a delayed single-source query sees
+  /// kArrival, its rows held at delivery until released; a delayed
+  /// multi-source (SteM) query sees kReleased. Every query sees kAll.
   bool speculative = false;
 };
 
@@ -95,8 +96,8 @@ class CacqEngine {
   Status RemoveQuery(QueryId q);
 
   /// Feeds one tuple of `stream` and routes it (plus any join matches).
-  /// `lane` restricts the seeded lineage to queries of that consistency
-  /// level (kAll = every interested query — the classic single-feed path).
+  /// `lane` restricts the seeded lineage to the queries that lane reaches
+  /// (see IngressLane; kAll = every interested query).
   Status Inject(const std::string& stream, const Tuple& tuple,
                 IngressLane lane = IngressLane::kAll);
 
@@ -184,7 +185,6 @@ class CacqEngine {
   struct QueryInfo {
     SmallBitset footprint;
     bool active = false;
-    bool speculative = false;  ///< CEDR consistency level (spec lane).
     /// Grouped-filter registrations: (column op const) per column op, for
     /// removal bookkeeping.
     std::vector<size_t> filter_columns;
@@ -199,6 +199,9 @@ class CacqEngine {
   /// ops in both directions for an equi-join pair.
   Status EnsureJoin(size_t src_a, int col_a, size_t src_b, int col_b);
 
+  /// The lineage every tuple of `source` injected on `lane` starts with:
+  /// the source's interested queries that `lane` reaches.
+  SmallBitset LaneSeed(size_t source, IngressLane lane) const;
   void Deliver(RoutedTuple&& rt);
 
   Options options_;
@@ -215,12 +218,12 @@ class CacqEngine {
   size_t active_queries_ = 0;
   /// Per source: queries whose footprint contains it (lineage seed).
   std::vector<SmallBitset> interested_;
-  /// Consistency lanes over engine QueryIds: a kDelayed/kSpeculative
-  /// injection intersects its lineage seed with the matching lane, so
-  /// delayed queries never see raw (possibly disordered) arrivals and
-  /// speculative queries never see the duplicate release feed.
-  SmallBitset delayed_queries_;
-  SmallBitset speculative_queries_;
+  /// Queries each IngressLane reaches, indexed by the lane (kAll's entry
+  /// is unused: it reaches every interested query). A lane injection
+  /// intersects its lineage seed with its entry, so SteM queries never
+  /// build state from raw (possibly disordered) arrivals and no query
+  /// sees an arrival twice.
+  SmallBitset lane_queries_[4];
 
   std::map<size_t, std::shared_ptr<GroupedFilterOp>> filter_ops_;
   std::map<uint64_t, std::shared_ptr<ResidualFilterOp>> residual_ops_;

@@ -139,7 +139,7 @@ class ShardedEngine::WorkerModule : public FjordModule {
       TCQ_CHECK(st.ok()) << "shard " << shard_
                          << " inject failed: " << st.ToString();
       sh.processed += task.tuples.size();
-      FlushEmissions(sh);
+      FlushEmissions(sh, task.lane, task.release);
       if (task.lsn != 0) {
         // The floor advances only after the flush: everything at or under
         // it is IN the egress queue and will reach the sink, so replay can
@@ -170,10 +170,16 @@ class ShardedEngine::WorkerModule : public FjordModule {
     parent_->CheckpointShard(shard_, floor);
   }
 
-  void FlushEmissions(Shard& sh) {
-    if (sh.pending.empty()) return;
+  /// Moves the task's emissions to the egress queue, tagged with its lane
+  /// and release threshold; a threshold goes out even with no emissions,
+  /// so the sink can release held rows.
+  void FlushEmissions(Shard& sh, IngressLane lane = IngressLane::kAll,
+                      Timestamp release = kMaxTimestamp) {
+    if (sh.pending.empty() && release == kMaxTimestamp) return;
     EgressItem item;
     item.results = std::move(sh.pending);
+    item.lane = lane;
+    item.release = release;
     sh.pending.clear();
     // Blocking enqueue: egress backpressure stalls this shard, not the
     // process (the egress thread always drains).
@@ -196,7 +202,8 @@ class ShardedEngine::EgressModule : public FjordModule {
   StepResult Step(size_t max_items) override {
     bool any_work = false;
     bool all_exhausted = true;
-    for (auto& shard : parent_->shards_) {
+    for (size_t i = 0; i < parent_->shards_.size(); ++i) {
+      Shard* shard = parent_->shards_[i].get();
       scratch_.clear();
       const size_t n =
           shard->output->DequeueUpTo(max_items == 0 ? 1 : max_items,
@@ -206,7 +213,10 @@ class ShardedEngine::EgressModule : public FjordModule {
           item.control();
           continue;
         }
-        if (parent_->sink_) parent_->sink_(std::move(item.results));
+        if (parent_->sink_) {
+          parent_->sink_(std::move(item.results),
+                         EgressTag{i, item.lane, item.release});
+        }
       }
       if (n > 0) any_work = true;
       if (!shard->output->Exhausted()) all_exhausted = false;
@@ -289,7 +299,8 @@ ShardedEngine::ShardedEngine(Options options)
     input_->SetTee([this](size_t p, ShardTask& task, size_t) {
       if (task.control) return;  // Only the data path is logged.
       task.lsn = replication_->replica(p).Append(
-          task.source, std::vector<Tuple>(task.tuples), task.lane);
+          task.source, std::vector<Tuple>(task.tuples), task.lane,
+          task.release);
       size_t bytes = 0;
       for (const Tuple& t : task.tuples) {
         bytes += sizeof(Tuple) + t.arity() * sizeof(Value);
@@ -582,7 +593,8 @@ Status ShardedEngine::RemoveQuery(QueryId q) {
 }
 
 Status ShardedEngine::PushBatch(const std::string& stream,
-                                std::vector<Tuple> batch, IngressLane lane) {
+                                std::vector<Tuple> batch, IngressLane lane,
+                                Timestamp release) {
   if (!started_) {
     return Status::FailedPrecondition("Start() the engine before pushing");
   }
@@ -591,7 +603,7 @@ Status ShardedEngine::PushBatch(const std::string& stream,
   if (it == source_index_.end()) {
     return Status::NotFound("unknown stream: " + stream);
   }
-  if (batch.empty()) return Status::OK();
+  if (batch.empty() && release == kMaxTimestamp) return Status::OK();
   const size_t source = it->second;
   const size_t key_column = sources_[source].partition_column;
   // Scatter: group by bucket -> shard so each shard receives ONE exchange
@@ -612,18 +624,23 @@ Status ShardedEngine::PushBatch(const std::string& stream,
       // Paused for migration: park in producer order; MigrateBucket
       // replays the buffer to the new owner before unpausing.
       std::lock_guard<std::mutex> lock(buffer_mu_);
-      move_buffer_.push_back(ParkedTuple{source, std::move(t), lane});
+      move_buffer_.push_back(
+          ParkedTuple{source, std::move(t), lane, release});
       TCQ_METRIC(buffered_tuples_->Add(1));
       continue;
     }
     groups[partition_map_.ShardOf(bucket)].push_back(std::move(t));
   }
   for (size_t p = 0; p < groups.size(); ++p) {
-    if (groups[p].empty()) continue;
+    const bool echo =
+        release != kMaxTimestamp && release > shards_[p]->release_sent;
+    if (groups[p].empty() && !echo) continue;
+    if (echo) shards_[p]->release_sent = release;
     ShardTask task;
     task.source = source;
     task.tuples = std::move(groups[p]);
     task.lane = lane;
+    task.release = release;
     const size_t count = task.tuples.size();
     if (!input_->EnqueuePartition(p, std::move(task), count)) {
       return Status::Unavailable("engine stopped mid-scatter");
@@ -795,7 +812,6 @@ Status ShardedEngine::FailoverShard(size_t shard) {
                              << restored.ToString();
   }
   const uint64_t applied = sh.applied_lsn.load(std::memory_order_acquire);
-  std::vector<Emission> recovered;
   std::vector<Emission> scratch;
   standby->SetSink([&scratch](QueryId q, const Tuple& t) {
     scratch.emplace_back(q, t);
@@ -809,18 +825,18 @@ Status ShardedEngine::FailoverShard(size_t shard) {
     TCQ_CHECK(st.ok()) << "changelog replay failed: " << st.ToString();
     replayed += rec.tuples.size();
     tail_lsn = rec.lsn;
-    if (rec.lsn > applied) {
-      sh.processed += rec.tuples.size();
-      recovered.insert(recovered.end(),
-                       std::make_move_iterator(scratch.begin()),
-                       std::make_move_iterator(scratch.end()));
-    } else {
+    if (rec.lsn <= applied) {
       suppressed += scratch.size();
+      continue;
     }
-  }
-  if (!recovered.empty()) {
+    // Lost work: its emissions flow, each record's under its own lane and
+    // release threshold, exactly as the primary's flush would have.
+    sh.processed += rec.tuples.size();
+    if (scratch.empty() && rec.release == kMaxTimestamp) continue;
     EgressItem item;
-    item.results = std::move(recovered);
+    item.results = std::move(scratch);
+    item.lane = rec.lane;
+    item.release = rec.release;
     const bool ok = sh.output->Enqueue(std::move(item));
     TCQ_CHECK(ok) << "egress enqueue during failover";
   }
@@ -894,16 +910,23 @@ void ShardedEngine::ResumeBucket(size_t final_owner) {
   }
   // Group contiguous same-(source, lane) runs into tasks (source order
   // between producers is whatever the race produced, same as live scatter).
+  // A run that carried a release threshold carries the newest one sent to
+  // the owner instead: these tasks queue behind it, and a shard's
+  // thresholds must never go backwards.
   size_t i = 0;
   while (i < buffered.size()) {
     ShardTask task;
     task.source = buffered[i].source;
     task.lane = buffered[i].lane;
+    task.release = buffered[i].release;
     while (i < buffered.size() && buffered[i].source == task.source &&
            buffered[i].lane == task.lane) {
+      task.release = std::max(task.release, buffered[i].release);
       task.tuples.push_back(std::move(buffered[i].tuple));
       ++i;
     }
+    task.release =
+        std::max(task.release, shards_[final_owner]->release_sent);
     const size_t count = task.tuples.size();
     // The replay must NEVER block: we hold migrate_mu_, which FailoverShard
     // needs before it can drain a dead shard's full queue — a blocking
@@ -914,7 +937,7 @@ void ShardedEngine::ResumeBucket(size_t final_owner) {
     if (replication_ != nullptr) {
       task.lsn = replication_->replica(final_owner)
                      .Append(task.source, std::vector<Tuple>(task.tuples),
-                             task.lane);
+                             task.lane, task.release);
     }
     shards_[final_owner]->routed += count;
     FjordQueue<ShardTask>& q = input_->partition(final_owner);

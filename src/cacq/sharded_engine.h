@@ -106,11 +106,32 @@ class ShardedEngine {
 
   /// One emission from one shard: (query, full-width result tuple).
   using Emission = std::pair<QueryId, Tuple>;
+  /// Where an emission batch came from: the shard that produced it, and
+  /// the lane and release threshold of the exchange task it ran for.
+  /// Batches of one shard reach the sink in that shard's task order, and
+  /// the thresholds a shard echoes never go backwards, so a consumer can
+  /// hold kArrival rows per shard and release them once the shard echoes
+  /// a threshold at or past their timestamps. A task with a threshold
+  /// yields a batch even when it emitted nothing.
+  struct EgressTag {
+    size_t shard = 0;
+    IngressLane lane = IngressLane::kAll;
+    Timestamp release = kMaxTimestamp;  ///< kMaxTimestamp = none.
+  };
   /// Delivery callback, invoked on the egress thread with batches of
   /// emissions in shard-output order. Must not call back into this
   /// engine (Quiesce would self-deadlock) and must be set before Start().
+  using TaggedSink =
+      std::function<void(std::vector<Emission>&&, const EgressTag&)>;
+  void SetSink(TaggedSink sink) { sink_ = std::move(sink); }
+  /// SetSink for consumers that need no tags.
   using Sink = std::function<void(std::vector<Emission>&&)>;
-  void SetSink(Sink sink) { sink_ = std::move(sink); }
+  void SetSink(Sink sink) {
+    sink_ = [sink = std::move(sink)](std::vector<Emission>&& batch,
+                                     const EgressTag&) {
+      sink(std::move(batch));
+    };
+  }
 
   /// Launches shard + egress threads. Requires at least one stream.
   void Start();
@@ -175,11 +196,18 @@ class ShardedEngine {
 
   /// Scatters a same-stream batch across the shards by partition column
   /// (one exchange task per non-empty shard). Blocks for queue space
-  /// (backpressure). Requires Start(). `lane` selects which consistency
-  /// level's queries see the batch (kAll = every query — the classic
-  /// single-feed path).
+  /// (backpressure). Requires Start(). `lane` selects which queries see
+  /// the batch (see IngressLane; kAll = every query). `release` is the
+  /// stream's release threshold as of this batch (kMaxTimestamp = none):
+  /// every task carries it, and a shard the batch leaves without tuples
+  /// gets a task with none when the threshold has moved past what it was
+  /// last sent, so every shard echoes it to the sink. An empty batch with
+  /// a threshold is such a punctuation (a heartbeat's, say). Release
+  /// thresholds must come from one producer at a time (the Server's
+  /// ingest lock).
   Status PushBatch(const std::string& stream, std::vector<Tuple> batch,
-                   IngressLane lane = IngressLane::kAll);
+                   IngressLane lane = IngressLane::kAll,
+                   Timestamp release = kMaxTimestamp);
   Status Push(const std::string& stream, Tuple tuple,
               IngressLane lane = IngressLane::kAll);
 
@@ -272,15 +300,20 @@ class ShardedEngine {
     /// Log sequence number stamped by the replication tee at enqueue time
     /// (0 for control tasks, and for everything when replication is off).
     uint64_t lsn = 0;
-    /// Consistency lane the batch targets (DESIGN.md §15): the worker
-    /// passes it through to CacqEngine::InjectBatch so delayed queries
-    /// never see raw arrivals and vice versa.
+    /// Lane the batch targets (DESIGN.md §15): the worker passes it
+    /// through to CacqEngine::InjectBatch.
     IngressLane lane = IngressLane::kAll;
+    /// Release threshold as of the batch, echoed on the egress item the
+    /// worker flushes after the task (see EgressTag).
+    Timestamp release = kMaxTimestamp;
   };
-  /// One unit of egress work: an emission batch, or an egress barrier.
+  /// One unit of egress work: an emission batch with the lane and release
+  /// threshold of its task, or an egress barrier.
   struct EgressItem {
     std::vector<Emission> results;
     std::function<void()> control;
+    IngressLane lane = IngressLane::kAll;
+    Timestamp release = kMaxTimestamp;
   };
 
   struct Shard {
@@ -305,6 +338,10 @@ class ShardedEngine {
     /// Everything <= this floor will reach the sink; replayed records at
     /// or under it are suppressed at the egress union (exactly-once).
     std::atomic<uint64_t> applied_lsn{0};
+    /// Highest release threshold scattered to this shard. Producer side:
+    /// written under the shared route lock by the one producer that sends
+    /// thresholds, or under the exclusive one.
+    Timestamp release_sent = kMinTimestamp;
     /// Guards the `engine` POINTER (not the engine) against the failover
     /// swap racing cross-thread introspection (shard_stats).
     mutable std::mutex engine_mu;
@@ -375,7 +412,7 @@ class ShardedEngine {
   SourceLayout layout_;  ///< Mirror of every shard engine's layout.
   std::vector<SourceInfo> sources_;
   std::map<std::string, size_t> source_index_;
-  Sink sink_;
+  TaggedSink sink_;
   /// Engine slot table: the live spec at each slot (BuildStandby installs
   /// each at its slot), or a removed query whose emissions may still sit
   /// in the egress queues. Guarded by migrate_mu_ once started.
@@ -419,6 +456,7 @@ class ShardedEngine {
     size_t source;
     Tuple tuple;
     IngressLane lane;
+    Timestamp release;
   };
   std::mutex buffer_mu_;
   std::vector<ParkedTuple> move_buffer_;

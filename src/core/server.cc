@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "common/logging.h"
 #include "fjords/queue.h"
@@ -36,6 +37,8 @@ struct ServerMetrics {
   Counter* dis_retractions;
   Counter* dis_unmatched_retractions;
   Counter* spool_replayed;  ///< Records re-delivered by ReplayStream.
+  /// Delayed CACQ rows waiting in release buffers (DESIGN.md §15).
+  Gauge* dis_held_rows;
 
   static ServerMetrics& Get() {
     static ServerMetrics* m = [] {
@@ -59,6 +62,7 @@ struct ServerMetrics {
       agg->dis_unmatched_retractions =
           reg.GetCounter("tcq.disorder.unmatched_retractions");
       agg->spool_replayed = reg.GetCounter("tcq.spool.replayed");
+      agg->dis_held_rows = reg.GetGauge("tcq.disorder.held_rows");
       return agg;
     }();
     return *m;
@@ -314,9 +318,11 @@ Result<QueryId> Server::Submit(const std::string& sql,
       // The sink runs on the egress thread; it captures the StreamState
       // node (map nodes are address-stable) and takes results_mu_ only.
       StreamState* node = &ss;
-      sharded->SetSink([this, node](std::vector<Emission>&& batch) {
-        DeliverEmissions(node, batch);
-      });
+      sharded->SetSink(
+          [this, node](std::vector<Emission>&& batch, const EgressTag& tag) {
+            DeliverEmissions(node, batch, tag);
+          });
+      ss.held.resize(options_.cacq_shards);
       sharded->Start();
       ss.sharded = std::move(sharded);
     }
@@ -347,6 +353,7 @@ Result<QueryId> Server::Submit(const std::string& sql,
       ss.cacq->SetSink([node](QueryId engine_q, const Tuple& t) {
         node->cacq_pending.emplace_back(engine_q, t);
       });
+      ss.held.resize(1);
     }
     CacqQuerySpec spec;
     spec.sources = {stream};
@@ -475,10 +482,22 @@ Status Server::Cancel(QueryId q) {
     --(qs->consistency == Consistency::kSpeculative ? ss.cacq_speculative
                                                     : ss.cacq_delayed);
     // Unmap first: the sharded egress thread then drops emissions still
-    // in flight, and the engine may hand the slot to a later Submit.
+    // in flight, and the engine may hand the slot to a later Submit. Rows
+    // already held for release go with the mapping: they point at the
+    // query, which is destroyed below.
     {
       std::lock_guard<std::mutex> rlock(results_mu_);
       ss.cacq_owner[qs->cacq_id] = nullptr;
+      for (HeldRows& held : ss.held) {
+        const auto live =
+            held.rows.begin() + static_cast<ptrdiff_t>(held.head);
+        const auto kept =
+            std::remove_if(live, held.rows.end(),
+                           [qs](const HeldRow& r) { return r.owner == qs; });
+        TCQ_METRIC(ServerMetrics::Get().dis_held_rows->Add(
+            -static_cast<int64_t>(held.rows.end() - kept)));
+        held.rows.erase(kept, held.rows.end());
+      }
     }
     st = ss.sharded != nullptr ? ss.sharded->RemoveQuery(qs->cacq_id)
                                : ss.cacq->RemoveQuery(qs->cacq_id);
@@ -544,24 +563,20 @@ void Server::ReviseQueriesLocked(const StreamState& ss, Timestamp late_ts) {
   }
 }
 
-Status Server::ApplyReleasedLocked(const std::string& stream,
-                                   StreamState* sp,
-                                   std::vector<Tuple> released) {
-  StreamState& ss = *sp;
-  if (released.empty()) return Status::OK();
-  ss.dis.released += static_cast<int64_t>(released.size());
+void Server::ApplyReleasedLocked(StreamState* ss,
+                                 std::vector<Tuple> released) {
+  if (released.empty()) return;
+  ss->dis.released += static_cast<int64_t>(released.size());
   TCQ_METRIC(ServerMetrics::Get().dis_released->Add(released.size()));
   // Releases arrive in timestamp order and never regress below earlier
   // releases, so plain Append keeps the archive sorted; the safe
-  // watermark is the released frontier.
-  for (const Tuple& t : released) {
-    ss.archive->Append(t);
-    if (t.timestamp() > ss.watermark) ss.watermark = t.timestamp();
+  // watermark is the released frontier. Standing CACQ queries never see
+  // this feed: they route the arrivals (IngestBatchLocked), and their
+  // delayed rows wait at delivery for the watermark.
+  for (Tuple& t : released) {
+    if (t.timestamp() > ss->watermark) ss->watermark = t.timestamp();
+    ss->archive->Append(std::move(t));
   }
-  // Delayed-lane injection: standing delayed queries consume the released
-  // (timestamp-ordered) feed, never raw arrivals.
-  return InjectCacqLocked(stream, &ss, std::move(released),
-                          IngressLane::kDelayed);
 }
 
 Status Server::PushLocked(const std::string& stream, const Tuple& tuple) {
@@ -591,18 +606,21 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   if (!batch.empty()) ss.last_arrival_ms = clock_ms_();
 
   // Stamp, classify and route the whole batch in one pass. Accepted
-  // arrivals feed two lanes: `raw` (arrival order — the speculative lane)
-  // and the reorder buffer, whose releases (timestamp order — the delayed
-  // lane) are applied below. With max_disorder == 0 the buffer releases
-  // every tuple immediately, so both lanes carry the same sequence and
-  // the classic in-order behavior is preserved byte for byte.
+  // arrivals go to the reorder buffer, whose releases (timestamp order)
+  // feed the archive and the windowed queries below. With standing CACQ
+  // queries they also go to `arrivals`, routed ONCE, in arrival order, for
+  // every one of them (DESIGN.md §15): speculative rows are delivered at
+  // once, delayed rows wait at delivery until the safe watermark passes
+  // them — the order routing the release feed would have given them.
+  // With max_disorder == 0 arrival order is release order and nothing
+  // waits: the classic in-order behavior, byte for byte.
   Status first_error = Status::OK();
-  // The raw (arrival-order) lane is only materialized when someone
-  // listens to it: with no speculative CACQ queries the per-tuple copy
-  // into `raw` is pure overhead on the hot ingest path.
-  const bool want_spec = ss.cacq_speculative > 0;
-  std::vector<Tuple> raw;
-  if (want_spec) raw.reserve(batch.size());
+  const bool route = ss.cacq_live() > 0;
+  std::vector<Tuple> arrivals;
+  if (route) arrivals.reserve(batch.size());
+  // kIngestLate stragglers routed with the arrivals, by index: only the
+  // speculative queries see them.
+  std::vector<size_t> late;
   size_t accepted = 0;
   int64_t within_bound = 0;
   std::vector<Tuple> released;
@@ -651,7 +669,10 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
         ++accepted;
         // Standing speculative queries still see it (they tolerate
         // out-of-order input); delayed queries only via unfired windows.
-        if (want_spec) raw.push_back(std::move(tuple));
+        if (ss.cacq_speculative > 0) {
+          late.push_back(arrivals.size());
+          arrivals.push_back(std::move(tuple));
+        }
         continue;
       }
       // LatePolicy::kReject: the classic hard-reject contract, with the
@@ -675,7 +696,7 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
       TCQ_METRIC(ServerMetrics::Get().dis_late_within_bound->Add(1));
     }
     ++accepted;
-    if (want_spec) raw.push_back(tuple);
+    if (route) arrivals.push_back(tuple);
     ss.reorder.Offer(std::move(tuple), &released);
     if (!released.empty()) {
       frontier = std::max(frontier, released.back().timestamp());
@@ -694,14 +715,13 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   if (!released.empty()) {
     revise_ts = std::min(revise_ts, released.front().timestamp());
   }
-  TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
+  ApplyReleasedLocked(&ss, std::move(released));
   for (const Tuple& t : late_inserts) ss.archive->InsertOrdered(t);
 
   if (accepted > 0) {
+    TCQ_RETURN_NOT_OK(
+        InjectArrivalsLocked(stream, &ss, std::move(arrivals), late));
     AdvanceQueriesLocked(ss);
-    // Speculative-lane injection: raw arrivals, in arrival order.
-    TCQ_RETURN_NOT_OK(InjectCacqLocked(stream, &ss, std::move(raw),
-                                       IngressLane::kSpeculative));
   }
   if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(ss, revise_ts);
   return first_error;
@@ -740,7 +760,8 @@ Status Server::SetDisorderBound(const std::string& stream,
                          &released);
     const Timestamp min_released =
         released.empty() ? kMaxTimestamp : released.front().timestamp();
-    TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
+    ApplyReleasedLocked(&ss, std::move(released));
+    TCQ_RETURN_NOT_OK(ReleaseHeldLocked(&ss));
     AdvanceQueriesLocked(ss);
     if (min_released != kMaxTimestamp) {
       ReviseQueriesLocked(ss, min_released);
@@ -759,11 +780,10 @@ Status Server::Heartbeat(const std::string& stream, Timestamp ts) {
     return Status::FailedPrecondition(
         "heartbeats need a timestamp column on " + stream);
   }
-  return HeartbeatLocked(stream, &it->second, ts, /*idle=*/false);
+  return HeartbeatLocked(&it->second, ts, /*idle=*/false);
 }
 
-Status Server::HeartbeatLocked(const std::string& stream, StreamState* sp,
-                               Timestamp ts, bool idle) {
+Status Server::HeartbeatLocked(StreamState* sp, Timestamp ts, bool idle) {
   StreamState& ss = *sp;
   ++(idle ? ss.dis.idle_heartbeats : ss.dis.heartbeats);
   TCQ_METRIC((idle ? ServerMetrics::Get().dis_idle_heartbeats
@@ -776,8 +796,9 @@ Status Server::HeartbeatLocked(const std::string& stream, StreamState* sp,
   ss.reorder.Punctuate(ts, &released);
   const Timestamp min_released =
       released.empty() ? kMaxTimestamp : released.front().timestamp();
-  TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
+  ApplyReleasedLocked(&ss, std::move(released));
   if (ts > ss.watermark) ss.watermark = ts;
+  TCQ_RETURN_NOT_OK(ReleaseHeldLocked(&ss));
   AdvanceQueriesLocked(ss);
   if (min_released != kMaxTimestamp) {
     ReviseQueriesLocked(ss, min_released);
@@ -841,7 +862,7 @@ size_t Server::PumpHeartbeats() {
       }
     }
     if (target <= ss.watermark) continue;  // Nothing to unblock.
-    const Status st = HeartbeatLocked(name, &ss, target, /*idle=*/true);
+    const Status st = HeartbeatLocked(&ss, target, /*idle=*/true);
     TCQ_CHECK(st.ok()) << st;
     ss.last_arrival_ms = now;
     ++punctuated;
@@ -918,40 +939,140 @@ void Server::DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets) {
 }
 
 Status Server::InjectCacqLocked(const std::string& stream, StreamState* ss,
-                                std::vector<Tuple> batch, IngressLane lane) {
-  const size_t listeners = lane == IngressLane::kDelayed ? ss->cacq_delayed
-                           : lane == IngressLane::kSpeculative
+                                std::vector<Tuple> batch, IngressLane lane,
+                                Timestamp release) {
+  // Server queries are single-source, so kArrival reaches every one of
+  // them and kReleased (join state) none.
+  const size_t listeners = lane == IngressLane::kSpeculative
                                ? ss->cacq_speculative
                                : ss->cacq_live();
   if (listeners == 0 || batch.empty()) return Status::OK();
   if (ss->sharded != nullptr) {
-    return ss->sharded->PushBatch(stream, std::move(batch), lane);
+    return ss->sharded->PushBatch(stream, std::move(batch), lane, release);
   }
   const Status st = ss->cacq->InjectBatch(stream, batch, lane);
   // Deliver even when the injection failed part-way, so no row it
-  // emitted first is left waiting in the buffer.
-  if (!ss->cacq_pending.empty()) DeliverEmissions(ss, ss->cacq_pending);
+  // emitted first is left waiting in the buffer; a release threshold
+  // releases held rows even when the batch emitted nothing.
+  if (!ss->cacq_pending.empty() || release != kMaxTimestamp) {
+    DeliverEmissions(ss, ss->cacq_pending, EgressTag{0, lane, release});
+  }
   return st;
 }
 
-void Server::DeliverEmissions(StreamState* ss, std::vector<Emission>& batch) {
+Status Server::InjectArrivalsLocked(const std::string& stream,
+                                    StreamState* ss,
+                                    std::vector<Tuple> arrivals,
+                                    const std::vector<size_t>& late) {
+  // The release threshold is the safe watermark: every accepted arrival
+  // at or below it has left the reorder buffer. None without a disorder
+  // bound (arrival order is then release order) or without a delayed
+  // query to hold rows for.
+  const Timestamp release =
+      ss->reorder.max_disorder() > 0 && ss->cacq_delayed > 0 ? ss->watermark
+                                                             : kMaxTimestamp;
+  if (late.empty()) {
+    return InjectCacqLocked(stream, ss, std::move(arrivals),
+                            IngressLane::kArrival, release);
+  }
+  // Stragglers split the batch into runs, routed in arrival order.
+  const auto take = [&arrivals](size_t from, size_t to) {
+    const auto at = [&arrivals](size_t i) {
+      return std::make_move_iterator(arrivals.begin() +
+                                     static_cast<ptrdiff_t>(i));
+    };
+    return std::vector<Tuple>(at(from), at(to));
+  };
+  size_t from = 0;
+  for (size_t at : late) {
+    TCQ_RETURN_NOT_OK(InjectCacqLocked(stream, ss, take(from, at),
+                                       IngressLane::kArrival, release));
+    TCQ_RETURN_NOT_OK(InjectCacqLocked(stream, ss, take(at, at + 1),
+                                       IngressLane::kSpeculative));
+    from = at + 1;
+  }
+  return InjectCacqLocked(stream, ss, take(from, arrivals.size()),
+                          IngressLane::kArrival, release);
+}
+
+Status Server::ReleaseHeldLocked(StreamState* ss) {
+  if (ss->cacq_delayed == 0) return Status::OK();
+  if (ss->sharded != nullptr) {
+    return ss->sharded->PushBatch(ss->def.name, {}, IngressLane::kArrival,
+                                  ss->watermark);
+  }
+  // Inline emissions are delivered after every injection: none pending.
+  DeliverEmissions(ss, ss->cacq_pending,
+                   EgressTag{0, IngressLane::kArrival, ss->watermark});
+  return Status::OK();
+}
+
+void Server::DeliverEmissions(StreamState* ss, std::vector<Emission>& batch,
+                              const EgressTag& tag) {
   {
     std::lock_guard<std::mutex> rlock(results_mu_);
     ResultSet rs;  // Reused for every row a callback consumes.
-    for (const auto& [engine_q, t] : batch) {
-      QueryState* owner = engine_q < ss->cacq_owner.size()
-                              ? ss->cacq_owner[engine_q]
-                              : nullptr;
-      if (owner == nullptr) continue;  // Canceled mid-flight.
-      rs.t = t.timestamp();
+    const auto deliver = [&rs](QueryState* owner, Tuple row) {
+      rs.t = row.timestamp();
       rs.rows.clear();
-      rs.rows.push_back(ProjectCacqRow(*owner, t));
+      rs.rows.push_back(std::move(row));
       ++owner->rows_delivered;
       TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(1));
       if (owner->callback) {
         owner->callback(rs);
       } else {
         owner->results.push_back(std::move(rs));
+      }
+    };
+    // Arrival-lane rows of delayed queries wait for the release threshold
+    // (none: no disorder bound, so they are final as they come).
+    HeldRows* held =
+        tag.lane == IngressLane::kArrival ? &ss->held[tag.shard] : nullptr;
+    const bool hold = held != nullptr && tag.release != kMaxTimestamp;
+    const size_t first_new = held != nullptr ? held->rows.size() : 0;
+    for (const auto& [engine_q, t] : batch) {
+      QueryState* owner = engine_q < ss->cacq_owner.size()
+                              ? ss->cacq_owner[engine_q]
+                              : nullptr;
+      if (owner == nullptr) continue;  // Canceled mid-flight.
+      if (hold && owner->consistency == Consistency::kDelayed) {
+        held->rows.push_back(HeldRow{ProjectCacqRow(*owner, t), owner});
+        continue;
+      }
+      deliver(owner, ProjectCacqRow(*owner, t));
+    }
+    if (held != nullptr && (held->size() > 0 || hold)) {
+      // Sort the new rows into place, stably: equal timestamps keep
+      // arrival order, as in the reorder buffer. Then release every row
+      // the threshold covers.
+      std::vector<HeldRow>& rows = held->rows;
+      const auto by_ts = [](const HeldRow& a, const HeldRow& b) {
+        return a.row.timestamp() < b.row.timestamp();
+      };
+      const auto begin = rows.begin() + static_cast<ptrdiff_t>(held->head);
+      const auto mid = rows.begin() + static_cast<ptrdiff_t>(first_new);
+      if (!std::is_sorted(mid, rows.end(), by_ts)) {
+        std::stable_sort(mid, rows.end(), by_ts);
+      }
+      if (begin != mid && mid != rows.end() && by_ts(*mid, *(mid - 1))) {
+        std::inplace_merge(begin, mid, rows.end(), by_ts);
+      }
+      const size_t from = held->head;
+      while (held->head < rows.size() &&
+             rows[held->head].row.timestamp() <= tag.release) {
+        HeldRow& r = rows[held->head++];
+        deliver(r.owner, std::move(r.row));
+      }
+      TCQ_METRIC(ServerMetrics::Get().dis_held_rows->Add(
+          static_cast<int64_t>(rows.size() - first_new) -
+          static_cast<int64_t>(held->head - from)));
+      if (held->head == rows.size()) {
+        rows.clear();
+        held->head = 0;
+      } else if (held->head * 2 >= rows.size()) {
+        rows.erase(rows.begin(),
+                   rows.begin() + static_cast<ptrdiff_t>(held->head));
+        held->head = 0;
       }
     }
   }
@@ -1102,6 +1223,11 @@ std::string Server::SnapshotMetrics() const {
   for (const auto& [name, ss] : streams_) {
     if (!first) out += ",";
     first = false;
+    size_t held = 0;  // Delayed CACQ rows waiting for release.
+    {
+      std::lock_guard<std::mutex> rlock(results_mu_);
+      for (const HeldRows& h : ss.held) held += h.size();
+    }
     AppendKey(name, &out);
     out += "{\"arrivals\":" + std::to_string(ss.arrivals) +
            ",\"rejected\":" + std::to_string(ss.rejected) + ",\"watermark\":" +
@@ -1123,7 +1249,8 @@ std::string Server::SnapshotMetrics() const {
            ",\"idle_heartbeats\":" + std::to_string(ss.dis.idle_heartbeats) +
            ",\"retractions\":" + std::to_string(ss.dis.retractions) +
            ",\"unmatched_retractions\":" +
-           std::to_string(ss.dis.unmatched_retractions) + "}" +
+           std::to_string(ss.dis.unmatched_retractions) +
+           ",\"held\":" + std::to_string(held) + "}" +
            ",\"history\":{\"resident\":" +
            std::to_string(ss.archive->resident_size()) +
            ",\"spooled\":" + std::to_string(ss.archive->spooled_size()) +

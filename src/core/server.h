@@ -264,6 +264,8 @@ class Server {
   struct StreamState;
   /// (engine slot, full-width result tuple): what a CACQ engine emits.
   using Emission = ShardedEngine::Emission;
+  /// Source shard, lane and release threshold of an emission batch.
+  using EgressTag = ShardedEngine::EgressTag;
 
   /// A live query. Cancel destroys it; only the output schema outlives it
   /// (output_schemas_).
@@ -279,6 +281,22 @@ class Server {
     std::deque<ResultSet> results;
     Callback callback;
     uint64_t rows_delivered = 0;  ///< Egress rows (queued or called back).
+  };
+
+  /// A delayed CACQ query's projected row, routed on the arrival lane and
+  /// waiting for the stream's release threshold to pass its timestamp.
+  struct HeldRow {
+    Tuple row;
+    QueryState* owner;
+  };
+  /// One release buffer (DESIGN.md §15). Rows stay stable-sorted by
+  /// timestamp over arrival order — the reorder buffer's release order —
+  /// so each delayed query's rows leave in exactly the order routing the
+  /// release feed would have produced them.
+  struct HeldRows {
+    std::vector<HeldRow> rows;  ///< [head, end) are still held.
+    size_t head = 0;
+    size_t size() const { return rows.size() - head; }
   };
 
   struct StreamState {
@@ -298,8 +316,9 @@ class Server {
     ReorderBuffer reorder;
     LatePolicy late_policy = LatePolicy::kReject;
     int64_t last_arrival_ms = 0;  ///< Idle-heartbeat bookkeeping.
-    /// Standing CACQ queries per consistency lane (skip scattering a lane
-    /// with no listeners when sharded).
+    /// Standing CACQ queries per consistency level: stragglers are routed
+    /// only with speculative listeners, and a batch carries a release
+    /// threshold only with delayed ones.
     size_t cacq_delayed = 0;
     size_t cacq_speculative = 0;
     /// Per-stream disorder counters (PumpMetrics / SnapshotMetrics rows).
@@ -321,6 +340,10 @@ class Server {
     /// DeliverEmissions after it (capacity reused across injections).
     std::vector<Emission> cacq_pending;
     std::unique_ptr<ShardedEngine> sharded;  ///< Lazy shard fleet (N > 1).
+    /// Release buffers for delayed queries' arrival-lane rows: one for the
+    /// inline engine, one per shard (each shard's rows leave in its own
+    /// release order). Guarded by results_mu_.
+    std::vector<HeldRows> held;
     /// Engine slot -> live owning query (null = free slot, or a cancelled
     /// query whose in-flight emissions are dropped). Engine slots are
     /// dense and reused, so this stays as wide as the peak live count.
@@ -343,18 +366,34 @@ class Server {
   /// Projects a full-width CACQ result tuple per the owner's select list.
   static Tuple ProjectCacqRow(const QueryState& owner, const Tuple& t);
   void DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets);
-  /// Feeds `batch` to the standing CACQ queries of `lane` on `ss`, if it
-  /// has any: scatters it to the shard fleet, or injects it into the
-  /// inline engine and delivers what that emitted before returning (also
-  /// when the injection fails part-way).
+  /// Feeds `batch` to the standing CACQ queries `lane` reaches on `ss`,
+  /// if it has any: scatters it to the shard fleet, or injects it into
+  /// the inline engine and delivers what that emitted before returning
+  /// (also when the injection fails part-way). `release`: the stream's
+  /// release threshold for a kArrival batch (kMaxTimestamp = none).
   Status InjectCacqLocked(const std::string& stream, StreamState* ss,
-                          std::vector<Tuple> batch, IngressLane lane);
+                          std::vector<Tuple> batch, IngressLane lane,
+                          Timestamp release = kMaxTimestamp);
+  /// Routes one ingest's accepted arrivals once, in arrival order:
+  /// within-bound tuples on kArrival with the batch's release threshold,
+  /// the stragglers at `late` (indexes into `arrivals`) on kSpeculative.
+  Status InjectArrivalsLocked(const std::string& stream, StreamState* ss,
+                              std::vector<Tuple> arrivals,
+                              const std::vector<size_t>& late);
   /// The one CACQ egress, for both engines: one ResultSet per emission,
   /// in batch order, to its owner's callback or Poll queue; emissions of
-  /// cancelled queries are dropped. Clears `batch`. Takes results_mu_
-  /// only, never mu_: the sharded egress thread calls it while a producer
-  /// blocked on a full exchange queue may hold mu_.
-  void DeliverEmissions(StreamState* ss, std::vector<Emission>& batch);
+  /// cancelled queries are dropped. A kArrival batch with a release
+  /// threshold holds its delayed queries' rows in the tag's shard's
+  /// release buffer, and every kArrival batch then delivers the held rows
+  /// at or below its threshold. Clears `batch`. Takes results_mu_ only, never
+  /// mu_: the sharded egress thread calls it while a producer blocked on
+  /// a full exchange queue may hold mu_.
+  void DeliverEmissions(StreamState* ss, std::vector<Emission>& batch,
+                        const EgressTag& tag);
+  /// Punctuation tail: releases the delayed CACQ rows the safe watermark
+  /// now covers — from the inline release buffer, or by sending the
+  /// threshold to every shard.
+  Status ReleaseHeldLocked(StreamState* ss);
   Status PushLocked(const std::string& stream, const Tuple& tuple);
   /// Validates `tuple` against `ss` and stamps its engine timestamp
   /// (declared column or arrival order). Watermark logic lives in
@@ -367,14 +406,12 @@ class Server {
   /// Revision pass: tells every speculative windowed query watching `ss`
   /// that data at or after `late_ts` changed under fired windows.
   void ReviseQueriesLocked(const StreamState& ss, Timestamp late_ts);
-  /// Spools reorder-buffer releases: archive append, safe-watermark
-  /// advance, delayed-lane injection. The shared tail of ingest,
-  /// Heartbeat and PumpHeartbeats.
-  Status ApplyReleasedLocked(const std::string& stream, StreamState* ss,
-                             std::vector<Tuple> released);
+  /// Spools reorder-buffer releases: archive append and safe-watermark
+  /// advance. The shared tail of ingest, Heartbeat and PumpHeartbeats.
+  static void ApplyReleasedLocked(StreamState* ss,
+                                  std::vector<Tuple> released);
   /// Punctuation body shared by Heartbeat and PumpHeartbeats.
-  Status HeartbeatLocked(const std::string& stream, StreamState* ss,
-                         Timestamp ts, bool idle);
+  Status HeartbeatLocked(StreamState* ss, Timestamp ts, bool idle);
   /// PushBatch body after the stream lookup; shared with PumpMetrics.
   Status IngestBatchLocked(const std::string& stream, StreamState* ss,
                            std::vector<Tuple> batch, size_t* rejected);

@@ -41,6 +41,10 @@ class ShardReplica {
     /// Consistency lane the batch was injected under (DESIGN.md §15);
     /// replay must reuse it so the standby seeds the same query lineage.
     IngressLane lane = IngressLane::kAll;
+    /// Release threshold the batch carried (kMaxTimestamp = none): replay
+    /// echoes it to the egress so rows held there are released exactly
+    /// as the primary would have released them.
+    Timestamp release = kMaxTimestamp;
   };
 
   /// Everything a failover needs, copied atomically: the newest valid
@@ -66,13 +70,15 @@ class ShardReplica {
   /// Must be called in the shard's queue order (the exchange tee holds
   /// its per-partition lock across Append + Enqueue).
   uint64_t Append(size_t source, std::vector<Tuple> tuples,
-                  IngressLane lane = IngressLane::kAll) {
+                  IngressLane lane = IngressLane::kAll,
+                  Timestamp release = kMaxTimestamp) {
     std::lock_guard<std::mutex> lock(mu_);
     Record rec;
     rec.lsn = ++next_lsn_;
     rec.source = source;
     rec.tuples = std::move(tuples);
     rec.lane = lane;
+    rec.release = release;
     log_bytes_ += ApproxBytes(rec);
     log_.push_back(std::move(rec));
     return next_lsn_;

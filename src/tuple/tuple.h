@@ -204,14 +204,25 @@ class Tuple {
 };
 
 /// Which standing (CACQ) queries an injected batch is visible to, by the
-/// query's declared consistency level (DESIGN.md §15). With a disorder
-/// bound active, a stream's arrivals are injected twice: the raw arrival
-/// feed goes to the speculative lane, the reorder-buffer release feed to
-/// the delayed lane. kAll is the classic single-feed path (no disorder
-/// bound, or no lane split) and keeps every pre-disorder call site's
-/// behaviour. Defined here — the bottom of the dependency order — because
-/// both the Flux changelog and the CACQ engines carry it.
-enum class IngressLane : uint8_t { kAll = 0, kDelayed = 1, kSpeculative = 2 };
+/// query's consistency level and state (DESIGN.md §15). A stream routes
+/// each accepted arrival once, on kArrival: speculative queries and
+/// stateless delayed queries (single-source filters and projections)
+/// see it in arrival order, and the delayed queries' rows wait at
+/// delivery until the stream's release threshold passes their timestamp.
+/// kReleased carries the reorder buffer's timestamp-ordered releases to
+/// delayed queries with SteM state (multi-source joins), whose stored
+/// state must grow in timestamp order. kSpeculative carries beyond-bound
+/// stragglers ingested under LatePolicy::kIngestLate to speculative
+/// queries only. kAll reaches every query: retractions and archive
+/// replay, whose records are final. Defined here — the bottom of the
+/// dependency order — because both the Flux changelog and the CACQ
+/// engines carry it.
+enum class IngressLane : uint8_t {
+  kAll = 0,
+  kReleased = 1,
+  kArrival = 2,
+  kSpeculative = 3,
+};
 
 using TupleVector = std::vector<Tuple>;
 

@@ -166,6 +166,41 @@ TEST(CacqEngineTest, SharedJoinAcrossQueries) {
   EXPECT_EQ(hits[1], 1);
 }
 
+TEST(CacqEngineTest, LanesSeedQueriesByConsistencyAndState) {
+  // kArrival reaches speculative queries and stateless delayed ones;
+  // kReleased only delayed joins; kSpeculative only speculative queries.
+  CacqEngine engine;
+  SchemaPtr ab =
+      Schema::Make({{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
+  ASSERT_TRUE(engine.AddStream("A", ab).ok());
+  ASSERT_TRUE(engine.AddStream("B", ab).ok());
+  std::map<QueryId, int> hits;
+  engine.SetSink([&](QueryId q, const Tuple&) { ++hits[q]; });
+  CacqQuerySpec filter;
+  filter.sources = {"A"};
+  CacqQuerySpec spec_filter = filter;
+  spec_filter.speculative = true;
+  CacqQuerySpec join;
+  join.sources = {"A", "B"};
+  join.where =
+      Expr::Binary(BinaryOp::kEq, Expr::Column("A.k"), Expr::Column("B.k"));
+  auto delayed = engine.AddQuery(filter);
+  auto speculative = engine.AddQuery(spec_filter);
+  auto joined = engine.AddQuery(join);
+  ASSERT_TRUE(delayed.ok() && speculative.ok() && joined.ok());
+  auto row = [](int64_t k, Timestamp ts) {
+    return Tuple::Make({Value::Int64(k), Value::Int64(0)}, ts);
+  };
+  ASSERT_TRUE(engine.Inject("A", row(1, 1), IngressLane::kArrival).ok());
+  ASSERT_TRUE(engine.Inject("A", row(2, 2), IngressLane::kSpeculative).ok());
+  ASSERT_TRUE(engine.Inject("A", row(1, 3), IngressLane::kReleased).ok());
+  ASSERT_TRUE(engine.Inject("B", row(1, 4), IngressLane::kReleased).ok());
+  EXPECT_EQ(hits[*delayed], 1);      // The arrival.
+  EXPECT_EQ(hits[*speculative], 2);  // The arrival and the straggler.
+  // Only the released A row built join state: one match, not two.
+  EXPECT_EQ(hits[*joined], 1);
+}
+
 TEST(CacqEngineTest, SingleStreamQueriesAlongsideJoinQueries) {
   CacqEngine engine;
   SchemaPtr ab =

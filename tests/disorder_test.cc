@@ -451,8 +451,9 @@ TEST(DisorderServerTest, RetractionFlowsThroughShardedEngine) {
 
 TEST(DisorderShardedTest, LanesAndRetractionsSurviveFailover) {
   // The changelog records each batch's ingress lane; a promoted standby
-  // must replay delayed/speculative feeds to exactly the queries that saw
-  // them, and replayed retractions must keep canceling SteM state.
+  // must replay arrival/speculative/released feeds to exactly the queries
+  // that saw them, and replayed retractions must keep canceling SteM
+  // state.
   ShardedEngine::Options opts;
   opts.num_shards = 2;
   opts.num_replicas = 1;
@@ -478,11 +479,16 @@ TEST(DisorderShardedTest, LanesAndRetractionsSurviveFailover) {
 
   ASSERT_TRUE(engine
                   .PushBatch("S", {KVTuple(1, 11), KVTuple(2, 12)},
-                             IngressLane::kDelayed)
+                             IngressLane::kArrival)
                   .ok());
   ASSERT_TRUE(engine
                   .PushBatch("S", {KVTuple(1, 21), KVTuple(2, 22)},
                              IngressLane::kSpeculative)
+                  .ok());
+  // The released lane reaches only delayed join queries: nobody here.
+  ASSERT_TRUE(engine
+                  .PushBatch("S", {KVTuple(1, 31), KVTuple(2, 32)},
+                             IngressLane::kReleased)
                   .ok());
   ASSERT_TRUE(engine.Quiesce().ok());
   // Kill and promote both shards: the standbys rebuild purely from the
@@ -490,7 +496,7 @@ TEST(DisorderShardedTest, LanesAndRetractionsSurviveFailover) {
   CrashInjector::CrashAndRecover(&engine, 0);
   CrashInjector::CrashAndRecover(&engine, 1);
   ASSERT_TRUE(engine
-                  .PushBatch("S", {KVTuple(3, 13)}, IngressLane::kDelayed)
+                  .PushBatch("S", {KVTuple(3, 13)}, IngressLane::kArrival)
                   .ok());
   Tuple retract = KVTuple(1, 11);
   retract.set_retraction(true);
@@ -505,10 +511,10 @@ TEST(DisorderShardedTest, LanesAndRetractionsSurviveFailover) {
   }
   std::sort(d_rows.begin(), d_rows.end());
   std::sort(s_rows.begin(), s_rows.end());
-  // Delayed query: its lane's rows, the post-failover row, and the signed
-  // retraction. Speculative query: its lane plus the retraction.
+  // Delayed query: the arrival rows, the post-failover row and the signed
+  // retraction. Speculative query: the same plus its straggler lane.
   EXPECT_EQ(d_rows.size(), 4u) << d_rows.size();
-  EXPECT_EQ(s_rows.size(), 3u) << s_rows.size();
+  EXPECT_EQ(s_rows.size(), 6u) << s_rows.size();
   EXPECT_EQ(std::count_if(d_rows.begin(), d_rows.end(),
                           [](const std::string& r) { return r[0] == '-'; }),
             1);

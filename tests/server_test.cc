@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "ingress/sources.h"
 #include "telemetry/metrics.h"
@@ -776,6 +781,136 @@ TEST_F(ServerTest, WindowedEquiJoinCountsStemMatches) {
   for (const ResultSet& rs : server_.PollAll(*q)) rows += rs.rows.size();
   ASSERT_GT(rows, 0u);
   EXPECT_GT(matches->value() - before, 0u);
+}
+#endif  // TCQ_METRICS_DISABLED
+
+// ---- Mixed consistency under a disorder bound (DESIGN.md §15). ----------
+
+SchemaPtr KV() {
+  return Schema::Make(
+      {{"ts", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
+}
+
+std::vector<Tuple> KVRange(int64_t from, int64_t to) {
+  std::vector<Tuple> out;
+  for (int64_t ts = from; ts <= to; ++ts) {
+    out.push_back(Tuple::Make({Value::Int64(ts), Value::Int64(ts)}, ts));
+  }
+  return out;
+}
+
+/// A server over S(ts, v) with disorder bound 10 and `shards` CACQ shards.
+std::unique_ptr<Server> DisorderedServer(size_t shards) {
+  Server::Options o;
+  o.max_disorder = 10;
+  o.cacq_shards = shards;
+  auto server = std::make_unique<Server>(o);
+  EXPECT_TRUE(server->DefineStream("S", KV(), /*timestamp_field=*/0,
+                                   /*partition_field=*/1)
+                  .ok());
+  return server;
+}
+
+/// Cancels a delayed query while its rows wait for release, lets a new
+/// query take its engine slot, then releases everything: neither sees the
+/// cancelled query's rows.
+void CancelWithRowsHeld(size_t shards) {
+  auto server = DisorderedServer(shards);
+  const std::string sql = "SELECT v FROM S WHERE v > 0";
+  auto gone = server->Submit(sql);
+  ASSERT_TRUE(gone.ok()) << gone.status();
+  std::mutex mu;
+  size_t gone_rows = 0;
+  ASSERT_TRUE(server
+                  ->SetCallback(*gone,
+                                [&](const ResultSet& rs) {
+                                  std::lock_guard<std::mutex> lock(mu);
+                                  gone_rows += rs.rows.size();
+                                })
+                  .ok());
+  // Raw watermark 5, bound 10: nothing is released, every row is held.
+  ASSERT_TRUE(server->PushBatch("S", KVRange(1, 5)).ok());
+  server->Quiesce();
+  EXPECT_NE(server->SnapshotMetrics().find("\"held\":5"), std::string::npos);
+  ASSERT_TRUE(server->Cancel(*gone).ok());
+  server->Quiesce();  // Sharded: the slot is free once egress drained it.
+  EXPECT_EQ(server->SnapshotMetrics().find("\"held\":5"), std::string::npos);
+  auto fresh = server->Submit(sql);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  // Release everything the cancelled query had waiting, then new data.
+  ASSERT_TRUE(server->Heartbeat("S", 10).ok());
+  server->Quiesce();
+  EXPECT_TRUE(server->PollAll(*fresh).empty());
+  ASSERT_TRUE(server->PushBatch("S", KVRange(11, 13)).ok());
+  ASSERT_TRUE(server->Heartbeat("S", 20).ok());
+  server->Quiesce();
+  std::vector<int64_t> fresh_rows;
+  for (const ResultSet& rs : server->PollAll(*fresh)) {
+    for (const Tuple& row : rs.rows) {
+      fresh_rows.push_back(row.cell(0).int64_value());
+    }
+  }
+  std::sort(fresh_rows.begin(), fresh_rows.end());
+  EXPECT_EQ(fresh_rows, (std::vector<int64_t>{11, 12, 13}));
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(gone_rows, 0u);
+}
+
+TEST(ServerDisorderTest, CancelWithRowsHeldInline) { CancelWithRowsHeld(1); }
+
+TEST(ServerDisorderTest, CancelWithRowsHeldSharded) { CancelWithRowsHeld(2); }
+
+TEST(ServerDisorderTest, DelayedRowsLeaveOnTheBatchThatReleasesThem) {
+  auto server = DisorderedServer(1);
+  Server::SubmitOptions spec;
+  spec.consistency = Consistency::kSpeculative;
+  auto delayed = server->Submit("SELECT v FROM S WHERE v > 0");
+  auto speculative = server->Submit("SELECT v FROM S WHERE v > 0", spec);
+  ASSERT_TRUE(delayed.ok() && speculative.ok());
+  // Arrival order 3, 1, 2: speculative rows come at once, as they arrive.
+  std::vector<Tuple> batch = KVRange(1, 3);
+  std::rotate(batch.begin(), batch.begin() + 2, batch.end());
+  ASSERT_TRUE(server->PushBatch("S", std::move(batch)).ok());
+  EXPECT_TRUE(server->PollAll(*delayed).empty());
+  EXPECT_EQ(server->PollAll(*speculative).size(), 3u);
+  // Raw watermark 13 releases ts <= 3: the delayed rows leave with this
+  // batch, in timestamp order; 13 itself waits.
+  ASSERT_TRUE(server->PushBatch("S", KVRange(13, 13)).ok());
+  std::vector<int64_t> rows;
+  for (const ResultSet& rs : server->PollAll(*delayed)) {
+    rows.push_back(rs.rows.at(0).cell(0).int64_value());
+  }
+  EXPECT_EQ(rows, (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(server->PollAll(*speculative).size(), 1u);
+}
+
+#ifndef TCQ_METRICS_DISABLED
+/// Pushes `n` disordered tuples through a stream carrying a delayed and a
+/// speculative filter; returns eddy injections per accepted tuple.
+double InjectionsPerTuple(size_t shards) {
+  auto server = DisorderedServer(shards);
+  Server::SubmitOptions spec;
+  spec.consistency = Consistency::kSpeculative;
+  EXPECT_TRUE(server->Submit("SELECT v FROM S WHERE v > 3").ok());
+  EXPECT_TRUE(server->Submit("SELECT v FROM S WHERE v < 50", spec).ok());
+  Counter* injected = MetricRegistry::Global().GetCounter("tcq.eddy.injected");
+  const uint64_t before = injected->value();
+  std::vector<Tuple> batch = KVRange(1, 64);
+  for (size_t i = 0; i + 4 <= batch.size(); i += 4) {
+    std::swap(batch[i], batch[i + 3]);  // Disorder 3, inside the bound.
+  }
+  EXPECT_TRUE(server->PushBatch("S", std::move(batch)).ok());
+  EXPECT_TRUE(server->Heartbeat("S", 64).ok());
+  server->Quiesce();
+  return static_cast<double>(injected->value() - before) / 64.0;
+}
+
+TEST(ServerDisorderTest, StatelessQueriesRouteEachArrivalOnceInline) {
+  EXPECT_EQ(InjectionsPerTuple(1), 1.0);
+}
+
+TEST(ServerDisorderTest, StatelessQueriesRouteEachArrivalOnceSharded) {
+  EXPECT_EQ(InjectionsPerTuple(2), 1.0);
 }
 #endif  // TCQ_METRICS_DISABLED
 

@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cacq/engine.h"
 #include "common/clock.h"
+#include "core/server.h"
 #include "common/logging.h"
 #include "eddy/eddy.h"
 #include "eddy/operators.h"
@@ -20,6 +22,40 @@ namespace {
 
 // The registry is process-global and this binary runs many tests, so each
 // test uses names under its own prefix and never assumes registry size.
+
+/// A server whose stream S(ts, v) has a wide disorder bound and one
+/// delayed standing filter: every pushed row waits for a heartbeat.
+std::unique_ptr<Server> HoldingServer() {
+  Server::Options o;
+  o.max_disorder = 100;
+  auto server = std::make_unique<Server>(o);
+  EXPECT_TRUE(server
+                  ->DefineStream("S",
+                                 Schema::Make({{"ts", ValueType::kInt64, ""},
+                                               {"v", ValueType::kInt64, ""}}),
+                                 /*timestamp_field=*/0)
+                  .ok());
+  EXPECT_TRUE(server->Submit("SELECT v FROM S WHERE v > 0").ok());
+  return server;
+}
+
+std::vector<Tuple> KVRows(int64_t from, int64_t to) {
+  std::vector<Tuple> out;
+  for (int64_t ts = from; ts <= to; ++ts) {
+    out.push_back(Tuple::Make({Value::Int64(ts), Value::Int64(ts)}, ts));
+  }
+  return out;
+}
+
+/// The `held` field of `stream`'s disorder section in a SnapshotMetrics
+/// document (-1 if absent).
+int64_t StreamHeld(const std::string& json, const std::string& stream) {
+  const size_t at = json.find("\"" + stream + "\":{\"arrivals\"");
+  if (at == std::string::npos) return -1;
+  const size_t field = json.find("\"held\":", at);
+  if (field == std::string::npos) return -1;
+  return std::stoll(json.substr(field + 7));
+}
 
 TEST(MetricsTest, CounterGaugeBasics) {
   MetricRegistry& reg = MetricRegistry::Global();
@@ -284,7 +320,29 @@ TEST(MetricsTest, GroupedFilterAppliesFlushedPerDrain) {
   ASSERT_TRUE(engine.Inject("S", batch[5]).ok());
   EXPECT_EQ(applies->value() - before, gf_visits());
 }
+
+TEST(MetricsTest, HeldRowsGaugeCountsRowsWaitingForRelease) {
+  // "Is anything stuck": delayed CACQ rows waiting for their release
+  // threshold show in tcq.disorder.held_rows until punctuation frees them.
+  Gauge* held = MetricRegistry::Global().GetGauge("tcq.disorder.held_rows");
+  const int64_t before = held->value();
+  auto server = HoldingServer();
+  ASSERT_TRUE(server->PushBatch("S", KVRows(1, 4)).ok());
+  EXPECT_EQ(held->value() - before, 4);
+  ASSERT_TRUE(server->Heartbeat("S", 4).ok());
+  EXPECT_EQ(held->value(), before);
+}
 #endif  // TCQ_METRICS_DISABLED
+
+TEST(MetricsTest, SnapshotReportsHeldRowsPerStream) {
+  auto server = HoldingServer();
+  ASSERT_TRUE(server->PushBatch("S", KVRows(1, 4)).ok());
+  EXPECT_EQ(StreamHeld(server->SnapshotMetrics(), "S"), 4);
+  ASSERT_TRUE(server->Heartbeat("S", 2).ok());
+  EXPECT_EQ(StreamHeld(server->SnapshotMetrics(), "S"), 2);
+  ASSERT_TRUE(server->Heartbeat("S", 4).ok());
+  EXPECT_EQ(StreamHeld(server->SnapshotMetrics(), "S"), 0);
+}
 
 class LogEveryNTest : public ::testing::Test {
  protected:
