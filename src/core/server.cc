@@ -427,9 +427,17 @@ void Server::MapCacqSlotLocked(StreamState* ss, QueryId slot,
   qs->cacq_id = slot;
   ++(qs->consistency == Consistency::kSpeculative ? ss->cacq_speculative
                                                   : ss->cacq_delayed);
+  // A delayed query starts above what is still in the reorder buffer:
+  // those tuples were routed before it existed.
+  const Timestamp raw = ss->reorder.raw_watermark();
+  if (qs->consistency == Consistency::kDelayed && ss->reorder.buffered() > 0 &&
+      raw < kMaxTimestamp) {
+    qs->cacq_from = raw + 1;
+  }
   std::lock_guard<std::mutex> rlock(results_mu_);
   if (slot >= ss->cacq_owner.size()) ss->cacq_owner.resize(slot + 1, nullptr);
   ss->cacq_owner[slot] = qs;
+  ss->cacq_from_max = std::max(ss->cacq_from_max, qs->cacq_from);
 }
 
 Timestamp Server::FootprintWatermark(const QueryState& qs) const {
@@ -564,7 +572,7 @@ void Server::ReviseQueriesLocked(const StreamState& ss, Timestamp late_ts) {
 }
 
 void Server::ApplyReleasedLocked(StreamState* ss,
-                                 std::vector<Tuple> released) {
+                                 const std::vector<Tuple>& released) {
   if (released.empty()) return;
   ss->dis.released += static_cast<int64_t>(released.size());
   TCQ_METRIC(ServerMetrics::Get().dis_released->Add(released.size()));
@@ -573,9 +581,9 @@ void Server::ApplyReleasedLocked(StreamState* ss,
   // watermark is the released frontier. Standing CACQ queries never see
   // this feed: they route the arrivals (IngestBatchLocked), and their
   // delayed rows wait at delivery for the watermark.
-  for (Tuple& t : released) {
+  for (const Tuple& t : released) {
+    ss->archive->Append(t);
     if (t.timestamp() > ss->watermark) ss->watermark = t.timestamp();
-    ss->archive->Append(std::move(t));
   }
 }
 
@@ -607,20 +615,22 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
 
   // Stamp, classify and route the whole batch in one pass. Accepted
   // arrivals go to the reorder buffer, whose releases (timestamp order)
-  // feed the archive and the windowed queries below. With standing CACQ
-  // queries they also go to `arrivals`, routed ONCE, in arrival order, for
-  // every one of them (DESIGN.md §15): speculative rows are delivered at
-  // once, delayed rows wait at delivery until the safe watermark passes
-  // them — the order routing the release feed would have given them.
-  // With max_disorder == 0 arrival order is release order and nothing
-  // waits: the classic in-order behavior, byte for byte.
+  // feed the archive and the windowed queries below. Standing CACQ
+  // queries route the within-bound arrivals ONCE, in arrival order, every
+  // one of them (DESIGN.md §15): speculative rows are delivered at once,
+  // delayed rows wait at delivery until the safe watermark passes them —
+  // the order routing the release feed would have given them. With an
+  // empty reorder buffer and max_disorder == 0 each arrival is released
+  // as it comes, so the releases are the arrival sequence and are routed
+  // themselves: the classic in-order path, byte for byte.
   Status first_error = Status::OK();
   const bool route = ss.cacq_live() > 0;
-  std::vector<Tuple> arrivals;
-  if (route) arrivals.reserve(batch.size());
-  // kIngestLate stragglers routed with the arrivals, by index: only the
-  // speculative queries see them.
-  std::vector<size_t> late;
+  const bool keep_arrivals =
+      route && (ss.reorder.max_disorder() > 0 || ss.reorder.buffered() > 0);
+  std::vector<Tuple>& arrivals = ss.cacq_arrivals;
+  // kIngestLate stragglers the speculative queries see, each after the
+  // within-bound arrivals that preceded it (their count).
+  std::vector<std::pair<size_t, Tuple>> late;
   size_t accepted = 0;
   int64_t within_bound = 0;
   std::vector<Tuple> released;
@@ -636,7 +646,8 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   // advances when the releases are applied below, so earlier tuples of
   // THIS batch must raise the straggler bar too (a release sequence must
   // never regress).
-  Timestamp frontier = ss.watermark;
+  const Timestamp released_before = ss.watermark;
+  Timestamp frontier = released_before;
   for (Tuple& tuple : batch) {
     Status st = StampLocked(&ss, &tuple);
     if (!st.ok()) {
@@ -670,8 +681,8 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
         // Standing speculative queries still see it (they tolerate
         // out-of-order input); delayed queries only via unfired windows.
         if (ss.cacq_speculative > 0) {
-          late.push_back(arrivals.size());
-          arrivals.push_back(std::move(tuple));
+          late.emplace_back(static_cast<size_t>(within_bound),
+                            std::move(tuple));
         }
         continue;
       }
@@ -696,7 +707,7 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
       TCQ_METRIC(ServerMetrics::Get().dis_late_within_bound->Add(1));
     }
     ++accepted;
-    if (route) arrivals.push_back(tuple);
+    if (keep_arrivals) arrivals.push_back(tuple);
     ss.reorder.Offer(std::move(tuple), &released);
     if (!released.empty()) {
       frontier = std::max(frontier, released.back().timestamp());
@@ -715,12 +726,13 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   if (!released.empty()) {
     revise_ts = std::min(revise_ts, released.front().timestamp());
   }
-  ApplyReleasedLocked(&ss, std::move(released));
+  ApplyReleasedLocked(&ss, released);
   for (const Tuple& t : late_inserts) ss.archive->InsertOrdered(t);
 
   if (accepted > 0) {
-    TCQ_RETURN_NOT_OK(
-        InjectArrivalsLocked(stream, &ss, std::move(arrivals), late));
+    TCQ_RETURN_NOT_OK(InjectArrivalsLocked(
+        stream, &ss, keep_arrivals ? arrivals : released, late,
+        released_before));
     AdvanceQueriesLocked(ss);
   }
   if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(ss, revise_ts);
@@ -760,7 +772,7 @@ Status Server::SetDisorderBound(const std::string& stream,
                          &released);
     const Timestamp min_released =
         released.empty() ? kMaxTimestamp : released.front().timestamp();
-    ApplyReleasedLocked(&ss, std::move(released));
+    ApplyReleasedLocked(&ss, released);
     TCQ_RETURN_NOT_OK(ReleaseHeldLocked(&ss));
     AdvanceQueriesLocked(ss);
     if (min_released != kMaxTimestamp) {
@@ -796,7 +808,7 @@ Status Server::HeartbeatLocked(StreamState* sp, Timestamp ts, bool idle) {
   ss.reorder.Punctuate(ts, &released);
   const Timestamp min_released =
       released.empty() ? kMaxTimestamp : released.front().timestamp();
-  ApplyReleasedLocked(&ss, std::move(released));
+  ApplyReleasedLocked(&ss, released);
   if (ts > ss.watermark) ss.watermark = ts;
   TCQ_RETURN_NOT_OK(ReleaseHeldLocked(&ss));
   AdvanceQueriesLocked(ss);
@@ -939,14 +951,16 @@ void Server::DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets) {
 }
 
 Status Server::InjectCacqLocked(const std::string& stream, StreamState* ss,
-                                std::vector<Tuple> batch, IngressLane lane,
+                                std::vector<Tuple>&& batch, IngressLane lane,
                                 Timestamp release) {
   // Server queries are single-source, so kArrival reaches every one of
   // them and kReleased (join state) none.
   const size_t listeners = lane == IngressLane::kSpeculative
                                ? ss->cacq_speculative
                                : ss->cacq_live();
-  if (listeners == 0 || batch.empty()) return Status::OK();
+  if (listeners == 0 || (batch.empty() && release == kMaxTimestamp)) {
+    return Status::OK();
+  }
   if (ss->sharded != nullptr) {
     return ss->sharded->PushBatch(stream, std::move(batch), lane, release);
   }
@@ -960,39 +974,53 @@ Status Server::InjectCacqLocked(const std::string& stream, StreamState* ss,
   return st;
 }
 
-Status Server::InjectArrivalsLocked(const std::string& stream,
-                                    StreamState* ss,
-                                    std::vector<Tuple> arrivals,
-                                    const std::vector<size_t>& late) {
+Status Server::InjectArrivalsLocked(
+    const std::string& stream, StreamState* ss, std::vector<Tuple>& arrivals,
+    std::vector<std::pair<size_t, Tuple>>& late, Timestamp released_before) {
   // The release threshold is the safe watermark: every accepted arrival
   // at or below it has left the reorder buffer. None without a disorder
   // bound (arrival order is then release order) or without a delayed
   // query to hold rows for.
-  const Timestamp release =
-      ss->reorder.max_disorder() > 0 && ss->cacq_delayed > 0 ? ss->watermark
-                                                             : kMaxTimestamp;
+  const bool hold = ss->reorder.max_disorder() > 0 && ss->cacq_delayed > 0;
+  const Timestamp release = hold ? ss->watermark : kMaxTimestamp;
+  Status st = Status::OK();
   if (late.empty()) {
-    return InjectCacqLocked(stream, ss, std::move(arrivals),
-                            IngressLane::kArrival, release);
-  }
-  // Stragglers split the batch into runs, routed in arrival order.
-  const auto take = [&arrivals](size_t from, size_t to) {
-    const auto at = [&arrivals](size_t i) {
-      return std::make_move_iterator(arrivals.begin() +
-                                     static_cast<ptrdiff_t>(i));
-    };
-    return std::vector<Tuple>(at(from), at(to));
-  };
-  size_t from = 0;
-  for (size_t at : late) {
-    TCQ_RETURN_NOT_OK(InjectCacqLocked(stream, ss, take(from, at),
-                                       IngressLane::kArrival, release));
-    TCQ_RETURN_NOT_OK(InjectCacqLocked(stream, ss, take(at, at + 1),
-                                       IngressLane::kSpeculative));
-    from = at + 1;
-  }
-  return InjectCacqLocked(stream, ss, take(from, arrivals.size()),
+    st = InjectCacqLocked(stream, ss, std::move(arrivals),
                           IngressLane::kArrival, release);
+  } else {
+    // Stragglers split the batch into runs, routed in arrival order. Only
+    // the last run carries the batch's threshold: rows of an earlier run
+    // must not leave ahead of a later run's smaller timestamps. The
+    // earlier runs hold at the safe watermark before the batch, which was
+    // already sent, so no shard's threshold goes backwards.
+    const Timestamp held_at = hold ? released_before : kMaxTimestamp;
+    const auto run = [&arrivals](size_t from, size_t to) {
+      return std::vector<Tuple>(
+          std::make_move_iterator(arrivals.begin() +
+                                  static_cast<ptrdiff_t>(from)),
+          std::make_move_iterator(arrivals.begin() +
+                                  static_cast<ptrdiff_t>(to)));
+    };
+    size_t from = 0;
+    for (auto& [at, straggler] : late) {
+      st = InjectCacqLocked(stream, ss, run(from, at), IngressLane::kArrival,
+                            held_at);
+      if (st.ok()) {
+        st = InjectCacqLocked(stream, ss, {std::move(straggler)},
+                              IngressLane::kSpeculative);
+      }
+      if (!st.ok()) break;
+      from = at;
+    }
+    if (st.ok()) {
+      st = InjectCacqLocked(stream, ss, run(from, arrivals.size()),
+                            IngressLane::kArrival, release);
+    }
+  }
+  arrivals.clear();  // Keeps the capacity for the next ingest...
+  // ...unless a rare huge batch grew it.
+  if (arrivals.capacity() > kMaxRetainedEmissions) arrivals.shrink_to_fit();
+  return st;
 }
 
 Status Server::ReleaseHeldLocked(StreamState* ss) {
@@ -1007,79 +1035,96 @@ Status Server::ReleaseHeldLocked(StreamState* ss) {
   return Status::OK();
 }
 
+void Server::DeliverRow(QueryState* owner, ResultSet& rs) {
+  ++owner->rows_delivered;
+  TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(1));
+  if (owner->callback) {
+    owner->callback(rs);
+  } else {
+    owner->results.push_back(std::move(rs));
+  }
+}
+
 void Server::DeliverEmissions(StreamState* ss, std::vector<Emission>& batch,
                               const EgressTag& tag) {
   {
     std::lock_guard<std::mutex> rlock(results_mu_);
-    ResultSet rs;  // Reused for every row a callback consumes.
-    const auto deliver = [&rs](QueryState* owner, Tuple row) {
-      rs.t = row.timestamp();
-      rs.rows.clear();
-      rs.rows.push_back(std::move(row));
-      ++owner->rows_delivered;
-      TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(1));
-      if (owner->callback) {
-        owner->callback(rs);
-      } else {
-        owner->results.push_back(std::move(rs));
-      }
-    };
     // Arrival-lane rows of delayed queries wait for the release threshold
-    // (none: no disorder bound, so they are final as they come).
+    // (none: no disorder bound, so they are final as they come), and rows
+    // below this may predate their query's `cacq_from`.
     HeldRows* held =
         tag.lane == IngressLane::kArrival ? &ss->held[tag.shard] : nullptr;
     const bool hold = held != nullptr && tag.release != kMaxTimestamp;
+    const Timestamp screen_below =
+        held != nullptr ? ss->cacq_from_max : kMinTimestamp;
     const size_t first_new = held != nullptr ? held->rows.size() : 0;
+    ResultSet rs;  // Reused for every row a callback consumes.
     for (const auto& [engine_q, t] : batch) {
       QueryState* owner = engine_q < ss->cacq_owner.size()
                               ? ss->cacq_owner[engine_q]
                               : nullptr;
       if (owner == nullptr) continue;  // Canceled mid-flight.
-      if (hold && owner->consistency == Consistency::kDelayed) {
-        held->rows.push_back(HeldRow{ProjectCacqRow(*owner, t), owner});
-        continue;
+      if ((hold || t.timestamp() < screen_below) &&
+          owner->consistency == Consistency::kDelayed) {
+        // Below the query's start (DESIGN.md §15).
+        if (t.timestamp() < owner->cacq_from) continue;
+        if (hold) {
+          held->rows.push_back(HeldRow{ProjectCacqRow(*owner, t), owner});
+          continue;
+        }
       }
-      deliver(owner, ProjectCacqRow(*owner, t));
+      rs.t = t.timestamp();
+      rs.rows.clear();
+      rs.rows.push_back(ProjectCacqRow(*owner, t));
+      DeliverRow(owner, rs);
     }
     if (held != nullptr && (held->size() > 0 || hold)) {
-      // Sort the new rows into place, stably: equal timestamps keep
-      // arrival order, as in the reorder buffer. Then release every row
-      // the threshold covers.
-      std::vector<HeldRow>& rows = held->rows;
-      const auto by_ts = [](const HeldRow& a, const HeldRow& b) {
-        return a.row.timestamp() < b.row.timestamp();
-      };
-      const auto begin = rows.begin() + static_cast<ptrdiff_t>(held->head);
-      const auto mid = rows.begin() + static_cast<ptrdiff_t>(first_new);
-      if (!std::is_sorted(mid, rows.end(), by_ts)) {
-        std::stable_sort(mid, rows.end(), by_ts);
-      }
-      if (begin != mid && mid != rows.end() && by_ts(*mid, *(mid - 1))) {
-        std::inplace_merge(begin, mid, rows.end(), by_ts);
-      }
-      const size_t from = held->head;
-      while (held->head < rows.size() &&
-             rows[held->head].row.timestamp() <= tag.release) {
-        HeldRow& r = rows[held->head++];
-        deliver(r.owner, std::move(r.row));
-      }
-      TCQ_METRIC(ServerMetrics::Get().dis_held_rows->Add(
-          static_cast<int64_t>(rows.size() - first_new) -
-          static_cast<int64_t>(held->head - from)));
-      if (held->head == rows.size()) {
-        rows.clear();
-        held->head = 0;
-      } else if (held->head * 2 >= rows.size()) {
-        rows.erase(rows.begin(),
-                   rows.begin() + static_cast<ptrdiff_t>(held->head));
-        held->head = 0;
-      }
+      ReleaseHeldRows(held, first_new, tag.release);
     }
   }
   batch.clear();  // Keeps the capacity for the next batch...
   // ...unless a rare huge injection (a replay chunk over many queries)
   // grew it: the inline buffer lives as long as the stream.
   if (batch.capacity() > kMaxRetainedEmissions) batch.shrink_to_fit();
+}
+
+void Server::ReleaseHeldRows(HeldRows* held, size_t first_new,
+                             Timestamp release) {
+  // Sort the new rows into place, stably: equal timestamps keep arrival
+  // order, as in the reorder buffer. Then release every row the
+  // threshold covers.
+  std::vector<HeldRow>& rows = held->rows;
+  const auto by_ts = [](const HeldRow& a, const HeldRow& b) {
+    return a.row.timestamp() < b.row.timestamp();
+  };
+  const auto begin = rows.begin() + static_cast<ptrdiff_t>(held->head);
+  const auto mid = rows.begin() + static_cast<ptrdiff_t>(first_new);
+  if (!std::is_sorted(mid, rows.end(), by_ts)) {
+    std::stable_sort(mid, rows.end(), by_ts);
+  }
+  if (begin != mid && mid != rows.end() && by_ts(*mid, *(mid - 1))) {
+    std::inplace_merge(begin, mid, rows.end(), by_ts);
+  }
+  const size_t from = held->head;
+  ResultSet rs;
+  while (held->head < rows.size() &&
+         rows[held->head].row.timestamp() <= release) {
+    HeldRow& r = rows[held->head++];
+    rs.t = r.row.timestamp();
+    rs.rows.clear();
+    rs.rows.push_back(std::move(r.row));
+    DeliverRow(r.owner, rs);
+  }
+  TCQ_METRIC(ServerMetrics::Get().dis_held_rows->Add(
+      static_cast<int64_t>(rows.size() - first_new) -
+      static_cast<int64_t>(held->head - from)));
+  if (held->head == rows.size()) {
+    rows.clear();
+    held->head = 0;
+  } else if (held->head * 2 >= rows.size()) {
+    rows.erase(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(held->head));
+    held->head = 0;
+  }
 }
 
 std::optional<ResultSet> Server::Poll(QueryId q) {

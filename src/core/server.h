@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cacq/engine.h"
@@ -271,6 +272,12 @@ class Server {
   /// (output_schemas_).
   struct QueryState {
     Consistency consistency = Consistency::kDelayed;
+    /// Delayed CACQ path: the first arrival-lane timestamp it delivers.
+    /// Submitted while tuples sat in the reorder buffer, the query never
+    /// saw them routed, so it starts above the stream's raw watermark at
+    /// Submit: every tuple there arrives after Submit, and its output is a
+    /// timestamp suffix of the in-order replay.
+    Timestamp cacq_from = kMinTimestamp;
     AnalyzedQuery analyzed;
     std::unique_ptr<QueryRunner> runner;  ///< Windowed path.
     /// Windowed path: the distinct streams of the footprint (map nodes are
@@ -339,6 +346,10 @@ class Server {
     /// Inline engine emissions of the injection in progress, drained by
     /// DeliverEmissions after it (capacity reused across injections).
     std::vector<Emission> cacq_pending;
+    /// Within-bound arrivals of the ingest in progress when they differ
+    /// from its releases, routed once by InjectArrivalsLocked (capacity
+    /// reused across ingests).
+    std::vector<Tuple> cacq_arrivals;
     std::unique_ptr<ShardedEngine> sharded;  ///< Lazy shard fleet (N > 1).
     /// Release buffers for delayed queries' arrival-lane rows: one for the
     /// inline engine, one per shard (each shard's rows leave in its own
@@ -350,6 +361,10 @@ class Server {
     /// Guarded by results_mu_ (the egress thread resolves emissions
     /// through it); writers hold mu_ too.
     std::vector<QueryState*> cacq_owner;
+    /// Highest `cacq_from` of the stream's delayed queries, never lowered:
+    /// delivery screens only rows below it, and once the safe watermark
+    /// passes it no arrival-lane row is. Guarded by results_mu_.
+    Timestamp cacq_from_max = kMinTimestamp;
     /// Live windowed queries whose footprint includes this stream, in
     /// submission order: the only queries an ingest on this stream can
     /// advance or revise. CACQ and cancelled queries never appear here.
@@ -358,7 +373,8 @@ class Server {
     size_t cacq_live() const { return cacq_delayed + cacq_speculative; }
   };
 
-  /// Records that `qs` owns engine slot `slot` on `ss`'s CACQ engine.
+  /// Records that `qs` owns engine slot `slot` on `ss`'s CACQ engine, and
+  /// sets a delayed query's `cacq_from`.
   void MapCacqSlotLocked(StreamState* ss, QueryId slot, QueryState* qs);
   /// Watermark a windowed query may advance to: the minimum over its
   /// footprint (safe marks when delayed, raw marks when speculative).
@@ -370,16 +386,22 @@ class Server {
   /// if it has any: scatters it to the shard fleet, or injects it into
   /// the inline engine and delivers what that emitted before returning
   /// (also when the injection fails part-way). `release`: the stream's
-  /// release threshold for a kArrival batch (kMaxTimestamp = none).
+  /// release threshold for a kArrival batch (kMaxTimestamp = none); with
+  /// one, an empty batch still releases held rows. `batch` is moved to the
+  /// shard fleet, or only read inline, so the caller may reuse it.
   Status InjectCacqLocked(const std::string& stream, StreamState* ss,
-                          std::vector<Tuple> batch, IngressLane lane,
+                          std::vector<Tuple>&& batch, IngressLane lane,
                           Timestamp release = kMaxTimestamp);
-  /// Routes one ingest's accepted arrivals once, in arrival order:
-  /// within-bound tuples on kArrival with the batch's release threshold,
-  /// the stragglers at `late` (indexes into `arrivals`) on kSpeculative.
+  /// Routes one ingest's within-bound `arrivals` (emptied) once, in
+  /// arrival order, on kArrival, and each of the `late` stragglers on
+  /// kSpeculative after the count of arrivals that preceded it. The run
+  /// after the last straggler carries the batch's release threshold; the
+  /// runs before it hold at `released_before`, the safe watermark before
+  /// the batch.
   Status InjectArrivalsLocked(const std::string& stream, StreamState* ss,
-                              std::vector<Tuple> arrivals,
-                              const std::vector<size_t>& late);
+                              std::vector<Tuple>& arrivals,
+                              std::vector<std::pair<size_t, Tuple>>& late,
+                              Timestamp released_before);
   /// The one CACQ egress, for both engines: one ResultSet per emission,
   /// in batch order, to its owner's callback or Poll queue; emissions of
   /// cancelled queries are dropped. A kArrival batch with a release
@@ -390,6 +412,13 @@ class Server {
   /// a full exchange queue may hold mu_.
   void DeliverEmissions(StreamState* ss, std::vector<Emission>& batch,
                         const EgressTag& tag);
+  /// Counts one filled result set `rs` for `owner` and hands it to the
+  /// owner's callback or Poll queue (which may take its rows).
+  static void DeliverRow(QueryState* owner, ResultSet& rs);
+  /// DeliverEmissions tail: sorts the rows held from `first_new` on into
+  /// `held` and delivers every held row at or below `release`.
+  static void ReleaseHeldRows(HeldRows* held, size_t first_new,
+                              Timestamp release);
   /// Punctuation tail: releases the delayed CACQ rows the safe watermark
   /// now covers — from the inline release buffer, or by sending the
   /// threshold to every shard.
@@ -409,7 +438,7 @@ class Server {
   /// Spools reorder-buffer releases: archive append and safe-watermark
   /// advance. The shared tail of ingest, Heartbeat and PumpHeartbeats.
   static void ApplyReleasedLocked(StreamState* ss,
-                                  std::vector<Tuple> released);
+                                  const std::vector<Tuple>& released);
   /// Punctuation body shared by Heartbeat and PumpHeartbeats.
   Status HeartbeatLocked(StreamState* ss, Timestamp ts, bool idle);
   /// PushBatch body after the stream lookup; shared with PumpMetrics.

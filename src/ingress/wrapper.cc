@@ -161,11 +161,11 @@ void Archive::DemoteOverflow() {
   }
 }
 
-void Archive::Append(Tuple t) {
+void Archive::Append(const Tuple& t) {
   TCQ_CHECK(tuples_.empty() || t.timestamp() >= tuples_.back().timestamp())
       << "archive requires timestamp-ordered appends";
+  tuples_.push_back(t);
   if (t.timestamp() > max_ts_) max_ts_ = t.timestamp();
-  tuples_.push_back(std::move(t));
   if (retention_span_ != kMaxTimestamp) TrimSpan();
   if (hook_) DemoteOverflow();
 }

@@ -136,7 +136,7 @@ class Archive {
   /// Live tuples demoted to the spool.
   size_t spooled_size() const { return hook_ ? hook_->spooled : 0; }
 
-  void Append(Tuple t);
+  void Append(const Tuple& t);
 
   /// Ordered insert for a beyond-bound straggler (LatePolicy::kIngestLate):
   /// places `t` at the upper bound of its timestamp so scans stay sorted.

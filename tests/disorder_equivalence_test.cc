@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/server.h"
+#include "ingress/wrapper.h"
 #include "testing/disorder.h"
 #include "testing/schedule_explorer.h"
 
@@ -60,14 +61,17 @@ struct Deliveries {
 };
 
 /// Pushes `feed` in `chunk`-sized batches through a server with disorder
-/// bound `bound` and `shards` CACQ shards running `queries`, submitted in
-/// `order`, then closes the source with punctuation.
+/// bound `bound`, straggler policy `late` and `shards` CACQ shards running
+/// `queries`, submitted in `order`, then closes the source with
+/// punctuation.
 Deliveries RunQueries(const std::vector<Tuple>& feed, Timestamp bound,
                       size_t shards, size_t chunk,
                       const std::vector<size_t>& order,
-                      const std::vector<QuerySpec>& queries) {
+                      const std::vector<QuerySpec>& queries,
+                      LatePolicy late = LatePolicy::kReject) {
   Server::Options o;
   o.max_disorder = bound;
+  o.late_policy = late;
   o.cacq_shards = shards;
   Server server(o);
   EXPECT_TRUE(server
@@ -307,6 +311,133 @@ TEST(DisorderEquivalenceTest, MixedConsistencyInlineMatchesInOrder) {
 TEST(DisorderEquivalenceTest, MixedConsistencyShardedMatchesInOrder) {
   // 4 shards: the same, as sorted multisets per query.
   ExploreMixed(6, 4);
+}
+
+/// The reorder buffer's release sequence for `feed` under `bound`, closed
+/// at the feed's end: the tuples a delayed query may see when beyond-bound
+/// stragglers are ingested late (they reach speculative queries only).
+/// Classified per tuple exactly as the server does, so batch boundaries
+/// do not change it.
+std::vector<Tuple> ReleaseSequence(const std::vector<Tuple>& feed,
+                                   Timestamp bound) {
+  ReorderBuffer reorder;
+  reorder.set_max_disorder(bound);
+  std::vector<Tuple> released;
+  Timestamp frontier = kMinTimestamp;
+  for (const Tuple& t : feed) {
+    if (t.timestamp() < frontier) continue;  // Beyond-bound straggler.
+    reorder.Offer(t, &released);
+    if (!released.empty()) {
+      frontier = std::max(frontier, released.back().timestamp());
+    }
+  }
+  reorder.Punctuate(50, &released);
+  return released;
+}
+
+/// kIngestLate stragglers split each batch into runs: the delayed filter
+/// must still deliver the in-order replay of what the reorder buffer
+/// released (byte for byte inline, as a sorted multiset when sharded), and
+/// the speculative filter, which also sees the stragglers, must net to the
+/// whole feed. The disordered feed is fixed per seed; the schedules vary
+/// batch size and submission order.
+void ExploreIngestLate(uint64_t seeds, size_t shards) {
+  const std::vector<QuerySpec> filters = {
+      {kFilterSql, Consistency::kDelayed, false},
+      {kSpecFilterSql, Consistency::kSpeculative, false}};
+  const std::vector<Tuple> feed = MakeFeed();
+  const Deliveries everything = RunQueries(
+      feed, 0, 1, 1, {0}, {{kSpecFilterSql, Consistency::kDelayed, false}});
+  const std::multiset<std::string> want_spec(everything.rows[0].begin(),
+                                             everything.rows[0].end());
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    DisorderOptions dopts;
+    dopts.max_disorder = 2 + static_cast<Timestamp>(seed % 5);
+    dopts.violation_rate = 0.25;
+    dopts.violation_extra = 3 + static_cast<Timestamp>(seed % 3);
+    dopts.seed = seed;
+    const std::vector<Tuple> disordered = InjectDisorder(feed, dopts);
+    const std::vector<Tuple> released =
+        ReleaseSequence(disordered, dopts.max_disorder);
+    ASSERT_LT(released.size(), feed.size()) << "no straggler, seed " << seed;
+    std::vector<std::string> want =
+        RunQueries(released, 0, 1, 1, {0}, {filters[0]}).rows[0];
+    if (shards > 1) std::sort(want.begin(), want.end());
+    ScheduleExplorer explorer(seed);
+    auto common = explorer.Explore(
+        2, [&](const ScheduleExplorer::Schedule& schedule) {
+          Deliveries got =
+              RunQueries(disordered, dopts.max_disorder, shards,
+                         schedule.quantum, schedule.order, filters,
+                         LatePolicy::kIngestLate);
+          std::vector<std::string>& delayed = got.rows[0];
+          if (shards > 1) std::sort(delayed.begin(), delayed.end());
+          EXPECT_EQ(delayed, want)
+              << "seed " << seed << ", bound " << dopts.max_disorder << ", "
+              << ScheduleExplorer::Describe(schedule);
+          const std::multiset<std::string> spec = Net(got.rows[1]);
+          EXPECT_EQ(spec, want_spec)
+              << "seed " << seed << ", "
+              << ScheduleExplorer::Describe(schedule);
+          std::ostringstream fp;
+          for (const std::string& r : delayed) fp << r << ";";
+          fp << "\n";
+          for (const std::string& r : spec) fp << r << ";";
+          return fp.str();
+        });
+    ASSERT_TRUE(common.ok()) << common.status();
+  }
+}
+
+TEST(DisorderEquivalenceTest, MixedConsistencyIngestLateInlineMatchesInOrder) {
+  ExploreIngestLate(12, 1);
+}
+
+TEST(DisorderEquivalenceTest, MixedConsistencyIngestLateShardedMatchesInOrder) {
+  ExploreIngestLate(6, 4);
+}
+
+TEST(DisorderEquivalenceTest, StragglerMidBatchKeepsDelayedOrder) {
+  // Bound 5: after [5, 10] the safe watermark is 5 and the raw one 10.
+  // In [8, 1, 7, 20], 1 is a beyond-bound straggler routed on its own, so
+  // 8 and [7, 20] are separate runs; 20 releases 7, 8 and 10 together.
+  // 8 must not leave ahead of 7. Then [30, 2] ends in a straggler: the
+  // empty run after it still releases 20 on this batch.
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    Server::Options o;
+    o.max_disorder = 5;
+    o.late_policy = LatePolicy::kIngestLate;
+    o.cacq_shards = shards;
+    Server server(o);
+    ASSERT_TRUE(server
+                    .DefineStream("S", KV(), /*timestamp_field=*/0,
+                                  /*partition_field=*/1)
+                    .ok());
+    Server::SubmitOptions spec;
+    spec.consistency = Consistency::kSpeculative;
+    auto delayed = server.Submit("SELECT ts FROM S");
+    auto speculative = server.Submit("SELECT ts FROM S", spec);
+    ASSERT_TRUE(delayed.ok() && speculative.ok());
+    const auto kv = [](int64_t ts) {
+      // One partition key, so one shard sees every tuple in order.
+      return Tuple::Make({Value::Int64(ts), Value::Int64(0)}, ts);
+    };
+    ASSERT_TRUE(server.PushBatch("S", {kv(5), kv(10)}).ok());
+    ASSERT_TRUE(server.PushBatch("S", {kv(8), kv(1), kv(7), kv(20)}).ok());
+    ASSERT_TRUE(server.PushBatch("S", {kv(30), kv(2)}).ok());
+    server.Quiesce();
+    std::vector<Timestamp> delivered;
+    for (const ResultSet& rs : server.PollAll(*delayed)) {
+      delivered.push_back(rs.t);
+    }
+    EXPECT_EQ(delivered, (std::vector<Timestamp>{5, 7, 8, 10, 20}))
+        << "shards " << shards;
+    size_t spec_rows = 0;
+    for (const ResultSet& rs : server.PollAll(*speculative)) {
+      spec_rows += rs.rows.size();
+    }
+    EXPECT_EQ(spec_rows, 8u) << "shards " << shards;
+  }
 }
 
 }  // namespace

@@ -884,6 +884,41 @@ TEST(ServerDisorderTest, DelayedRowsLeaveOnTheBatchThatReleasesThem) {
   EXPECT_EQ(server->PollAll(*speculative).size(), 1u);
 }
 
+/// Submits a delayed query while tuples sit in the reorder buffer. Those
+/// were routed before it existed, so it starts above the raw watermark at
+/// Submit: its output is the in-order replay's suffix past that mark, not
+/// a mix of later arrivals on both sides of it.
+void DelayedSubmitMidStream(size_t shards) {
+  auto server = DisorderedServer(shards);
+  // Raw watermark 5, bound 10: 1..5 are all still buffered.
+  ASSERT_TRUE(server->PushBatch("S", KVRange(1, 5)).ok());
+  auto q = server->Submit("SELECT v FROM S WHERE v > 0");
+  ASSERT_TRUE(q.ok()) << q.status();
+  // After Submit: 7, a within-bound 4 (v 104), 6 and 8.
+  std::vector<Tuple> later = {
+      Tuple::Make({Value::Int64(7), Value::Int64(7)}, 7),
+      Tuple::Make({Value::Int64(4), Value::Int64(104)}, 4),
+      Tuple::Make({Value::Int64(6), Value::Int64(6)}, 6),
+      Tuple::Make({Value::Int64(8), Value::Int64(8)}, 8)};
+  ASSERT_TRUE(server->PushBatch("S", std::move(later)).ok());
+  ASSERT_TRUE(server->Heartbeat("S", 20).ok());
+  server->Quiesce();
+  std::vector<int64_t> rows;
+  for (const ResultSet& rs : server->PollAll(*q)) {
+    for (const Tuple& row : rs.rows) rows.push_back(row.cell(0).int64_value());
+  }
+  if (shards > 1) std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, (std::vector<int64_t>{6, 7, 8}));
+}
+
+TEST(ServerDisorderTest, DelayedSubmitMidStreamSeesATimestampSuffixInline) {
+  DelayedSubmitMidStream(1);
+}
+
+TEST(ServerDisorderTest, DelayedSubmitMidStreamSeesATimestampSuffixSharded) {
+  DelayedSubmitMidStream(2);
+}
+
 #ifndef TCQ_METRICS_DISABLED
 /// Pushes `n` disordered tuples through a stream carrying a delayed and a
 /// speculative filter; returns eddy injections per accepted tuple.
